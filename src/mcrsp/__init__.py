@@ -7,11 +7,13 @@ from .protocol import (
     SQRT_HALF,
     SUCCESS_FIDELITY,
     ChannelPair,
+    CorrectionTable,
     OutcomeKey,
     PauliLayer,
     TargetState,
-    build_cluster_state,
     build_target,
+    default_derived_table,
+    published_correction_table,
 )
 from .engine import (
     BranchOutcome,
@@ -25,12 +27,9 @@ from .engine import (
 from .oracle import (
     GENERIC_CHANNELS,
     GENERIC_TARGET,
-    CorrectionTable,
     TableDiff,
     compare_with_published,
-    default_derived_table,
     derive_correction_table,
-    published_correction_table,
     validate_table,
 )
 from .metrics import (
@@ -60,7 +59,6 @@ __all__ = [
     "OutcomeKey",
     "PauliLayer",
     "TargetState",
-    "build_cluster_state",
     "build_target",
     "BranchOutcome",
     "MonteCarloResult",

@@ -153,10 +153,12 @@ def _out_dir(config: RunConfig) -> str:
 def cmd_enumerate(config: RunConfig) -> int:
     """Exact enumeration: branch CSV plus a summary, verified against the
     closed-form success probability."""
+    target = config.target()
     channels = config.channels()
-    report = enumerate_branches(config.target(), channels, config.source)
     out = config.out or "branches.csv"
+    # Open the output before the walk, so an unwritable path fails fast.
     with open(out, "w", encoding="ascii", newline="") as fh:
+        report = enumerate_branches(target, channels, config.source)
         write_branch_csv(report, fh)
     fid = report.min_success_fidelity()
     print(f"wrote {out}")
@@ -295,3 +297,7 @@ def main(argv=None) -> int:
 
 def run() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

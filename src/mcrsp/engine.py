@@ -16,35 +16,27 @@ from __future__ import annotations
 
 import csv
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import (
-    COMPUTATIONAL,
-    KET0,
-    PLUS_MINUS,
-    StateVector,
-    apply,
-    fidelity,
-    project,
-    tensor,
-)
+from .statevec import PLUS_MINUS, StateVector, project
 from .protocol import (
-    ANCILLA,
-    BOB_QUBITS,
-    PAULI_OPS,
+    PROB_FLOOR,
     SUCCESS_FIDELITY,
     ChannelPair,
+    CorrectionTable,
     OutcomeKey,
     TargetState,
     alice_basis,
-    alice_correction,
+    ancilla_readout,
     build_channels,
     build_target,
+    default_derived_table,
     parity,
-    published_layers,
+    published_correction_table,
+    receiver_stage,
+    sender_stage,
     triplet_unitary,
 )
 
@@ -61,9 +53,6 @@ __all__ = [
     "write_branch_csv",
 ]
 
-# Branches lighter than this carry no usable state; their fidelity is
-# recorded as 0.0 instead of normalizing a numerically empty vector.
-_PROB_FLOOR = 1e-250
 _COMPLETENESS_TOL = 1e-9
 
 
@@ -113,7 +102,7 @@ class RunReport:
 
     def success_branches(self) -> tuple:
         return tuple(b for b in self.branches
-                     if b.ancilla == 0 and b.probability > _PROB_FLOOR)
+                     if b.ancilla == 0 and b.probability > PROB_FLOOR)
 
     def min_success_fidelity(self):
         """Worst fidelity over weighted ancilla-0 branches, None if there are none."""
@@ -140,23 +129,16 @@ def ccc_count(n: int, m: int) -> int:
     return n + m + 4
 
 
-def _resolve_table(source):
-    """Accept 'oracle', 'paper', a CorrectionTable, or a raw key->layer mapping."""
-    if isinstance(source, str):
-        if source == "oracle":
-            from .oracle import default_derived_table
-            table = default_derived_table()
-            return table.entries, table.provenance
-        if source == "paper":
-            return published_layers(), "paper"
-        raise ValueError(
-            f"unknown correction source {source!r}; expected 'oracle' or 'paper'")
-    entries = getattr(source, "entries", source)
-    if not isinstance(entries, Mapping):
-        raise ValueError(
-            "correction source must be 'oracle', 'paper', a CorrectionTable, "
-            "or a mapping from outcome keys to Pauli layers")
-    return entries, getattr(source, "provenance", "custom")
+def _resolve_table(source) -> CorrectionTable:
+    """Accept 'oracle', 'paper', or a CorrectionTable."""
+    if isinstance(source, CorrectionTable):
+        return source
+    if source == "oracle":
+        return default_derived_table()
+    if source == "paper":
+        return published_correction_table()
+    raise ValueError(f"unknown correction source {source!r}; expected "
+                     "'oracle', 'paper', or a CorrectionTable")
 
 
 def _validate_flip(flip_report, channels: ChannelPair):
@@ -200,7 +182,8 @@ def enumerate_branches(target: TargetState, channels: ChannelPair,
     transcript are corrupted.  Raises RuntimeError if the leaf probabilities
     fail to sum to 1, since every conclusion rests on that completeness.
     """
-    table, source_name = _resolve_table(source)
+    table = _resolve_table(source)
+    layers = table.entries
     flip = _validate_flip(flip_report, channels)
     target_state = build_target(target)
     rows = alice_basis(target)
@@ -210,14 +193,12 @@ def enumerate_branches(target: TargetState, channels: ChannelPair,
     meas_labels = (["A2", "A4"]
                    + [f"C{k}" for k in range(1, channels.n + 1)]
                    + [f"D{k}" for k in range(1, channels.m + 1)])
-    ancilla_start = StateVector((ANCILLA,), KET0)
 
     branches = []
     total = 0.0
     for i in (0, 1):
         for j in (0, 1):
-            sector, step1_prob = project(psi, ("A1", "A3"), rows, 2 * i + j)
-            sector = apply(sector, alice_correction(i, j, target), ("A2", "A4"))
+            sector, step1_prob = sender_stage(psi, rows, i, j, target)
             level = [((), sector)]
             for lbl in meas_labels:
                 nxt = []
@@ -237,16 +218,10 @@ def enumerate_branches(target: TargetState, channels: ChannelPair,
                 key = OutcomeKey(i, j, p, q,
                                  parity(reported[:channels.n]),
                                  parity(reported[channels.n:]))
-                corrected = state
-                for lbl, op in zip(BOB_QUBITS, table[key].ops):
-                    if op != "I":
-                        corrected = apply(corrected, PAULI_OPS[op], (lbl,))
-                staged = apply(tensor(corrected, ancilla_start),
-                               vmats[(i, j)], (ANCILLA, "B1", "B3"))
+                staged = receiver_stage(state, layers[key], vmats[(i, j)])
                 messages = _branch_messages(key, reported, channels)
                 for anc in (0, 1):
-                    residual, prob = project(staged, (ANCILLA,), COMPUTATIONAL, anc)
-                    fid = fidelity(residual, target_state) if prob > _PROB_FLOOR else 0.0
+                    residual, prob, fid = ancilla_readout(staged, anc, target_state)
                     branches.append(BranchOutcome(
                         key=key, controller_bits=tuple(phys), ancilla=anc,
                         probability=prob, norm_factor=step1_prob,
@@ -259,7 +234,7 @@ def enumerate_branches(target: TargetState, channels: ChannelPair,
               if b.ancilla == 0 and b.fid >= SUCCESS_FIDELITY)
     return RunReport(branches=tuple(branches), tsp=tsp,
                      ccc=ccc_count(channels.n, channels.m), target=target,
-                     channels=channels, correction_source=source_name)
+                     channels=channels, correction_source=table.provenance)
 
 
 def _draw(rng, report: RunReport, size: int) -> np.ndarray:

@@ -11,41 +11,31 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from importlib import resources
 
-import numpy as np
-
-from .statevec import (
-    COMPUTATIONAL,
-    KET0,
-    PLUS_MINUS,
-    StateVector,
-    apply,
-    fidelity,
-    project,
-    tensor,
-)
+from .statevec import PLUS_MINUS, StateVector, project
 from .protocol import (
-    ANCILLA,
-    BOB_QUBITS,
     LAYER_OPS,
-    PAULI_OPS,
     SUCCESS_FIDELITY,
     ChannelPair,
+    CorrectionTable,
     OutcomeKey,
     PauliLayer,
     TargetState,
     alice_basis,
-    alice_correction,
     all_outcome_keys,
+    ancilla_readout,
     build_channels,
     build_target,
-    load_layer_file,
-    published_layers,
+    default_derived_table,
+    published_correction_table,
+    receiver_stage,
+    sender_stage,
     triplet_unitary,
 )
+from .engine import enumerate_branches
+from .metrics import tsp_formula
 
 __all__ = [
     "SUCCESS_FIDELITY",
@@ -60,14 +50,10 @@ __all__ = [
     "published_correction_table",
     "compare_with_published",
     "layer_achieves_target",
-    "matrices_equal_mod_phase",
-    "layers_equal",
     "validate_table",
     "TargetValidation",
     "ValidationReport",
 ]
-
-_PHASE_TOL = 1e-9
 
 # Fixed generic parameters: every amplitude nonzero, phases incommensurate,
 # channel bounds strict.  Derivation at a degenerate point would make several
@@ -75,37 +61,6 @@ _PHASE_TOL = 1e-9
 GENERIC_TARGET = TargetState.normalized(2.0, 3.0, 4.0, 5.0, 0.3, 0.7, 1.1)
 GENERIC_CHANNELS = ChannelPair(
     math.sqrt(0.7), math.sqrt(0.3), math.sqrt(0.8), math.sqrt(0.2), n=1, m=1)
-
-
-@dataclass(frozen=True)
-class CorrectionTable:
-    """A total map from the 64 outcome keys to Pauli layers."""
-
-    entries: dict
-    provenance: str  # "derived" or "paper"
-
-    def __post_init__(self):
-        missing = [k for k in all_outcome_keys() if k not in self.entries]
-        if missing or len(self.entries) != 64:
-            raise ValueError(
-                f"correction table must cover all 64 keys ({len(missing)} missing)")
-
-    def __getitem__(self, key: OutcomeKey) -> PauliLayer:
-        return self.entries[key]
-
-    def to_text(self) -> str:
-        lines = []
-        for key in sorted(self.entries):
-            lines.append(f"{key.bits()} {self.entries[key].label()}")
-        return "\n".join(lines) + "\n"
-
-    def to_file(self, path) -> None:
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(self.to_text())
-
-    @classmethod
-    def from_file(cls, path, provenance: str) -> "CorrectionTable":
-        return cls(load_layer_file(path), provenance)
 
 
 @dataclass(frozen=True)
@@ -159,32 +114,21 @@ def _require_generic(target: TargetState, channels: ChannelPair) -> None:
                          "|a0| > |a1| and |b0| > |b1|")
 
 
-def _branch_before_correction(key: OutcomeKey, target: TargetState,
-                              channels: ChannelPair) -> StateVector:
-    """Steps 1 to 3 on one representative branch with a single controller per
-    channel, whose reported bit realizes the key's parity directly."""
-    c1 = ChannelPair(channels.a0, channels.a1, channels.b0, channels.b1, 1, 1)
-    psi = build_channels(c1)
-    rows = alice_basis(target)
-    state, _ = project(psi, ("A1", "A3"), rows, 2 * key.i + key.j)
-    state = apply(state, alice_correction(key.i, key.j, target), ("A2", "A4"))
+def _representative_branch(psi: StateVector, rows, key: OutcomeKey,
+                           target: TargetState) -> StateVector:
+    """Steps 1 to 3 on the branch whose readouts spell out key; psi carries a
+    single controller per channel, whose reported bit is the key's parity."""
+    state, _ = sender_stage(psi, rows, key.i, key.j, target)
     for lbl, out in (("A2", key.p), ("A4", key.q), ("C1", key.g), ("D1", key.h)):
         state, _ = project(state, (lbl,), PLUS_MINUS, out)
     return state
 
 
-def _layer_succeeds(pre: StateVector, layer: PauliLayer, vmat: np.ndarray,
-                    target_state: StateVector) -> bool:
-    state = pre
-    for lbl, op in zip(BOB_QUBITS, layer.ops):
-        if op != "I":
-            state = apply(state, PAULI_OPS[op], (lbl,))
-    state = tensor(state, StateVector((ANCILLA,), KET0))
-    state = apply(state, vmat, (ANCILLA, "B1", "B3"))
-    residual, prob = project(state, (ANCILLA,), COMPUTATIONAL, 0)
-    if prob <= 0.0:
-        return False
-    return fidelity(residual, target_state) >= SUCCESS_FIDELITY
+def _restores_target(pre: StateVector, layer: PauliLayer, vmat,
+                     target_state: StateVector) -> bool:
+    """Steps 4 and 5: does layer leave the ancilla-0 residual on the target?"""
+    _, _, fid = ancilla_readout(receiver_stage(pre, layer, vmat), 0, target_state)
+    return fid >= SUCCESS_FIDELITY
 
 
 def derive_correction_table(target: TargetState = GENERIC_TARGET,
@@ -197,14 +141,14 @@ def derive_correction_table(target: TargetState = GENERIC_TARGET,
     """
     _require_generic(target, channels)
     target_state = build_target(target)
-    vmats = {(i, j): triplet_unitary(i, j, channels)
-             for i in (0, 1) for j in (0, 1)}
+    psi = build_channels(replace(channels, n=1, m=1))
+    rows = alice_basis(target)
     entries = {}
     for key in all_outcome_keys():
-        pre = _branch_before_correction(key, target, channels)
-        vmat = vmats[(key.i, key.j)]
+        pre = _representative_branch(psi, rows, key, target)
+        vmat = triplet_unitary(key.i, key.j, channels)
         for layer in candidate_layers():
-            if _layer_succeeds(pre, layer, vmat, target_state):
+            if _restores_target(pre, layer, vmat, target_state):
                 entries[key] = layer
                 break
         else:
@@ -213,50 +157,14 @@ def derive_correction_table(target: TargetState = GENERIC_TARGET,
     return CorrectionTable(entries, "derived")
 
 
-_DERIVED_RESOURCE = "derived_corrections.txt"
-
-
-@lru_cache(maxsize=1)
-def default_derived_table() -> CorrectionTable:
-    """The shipped derived table; regenerate with derive_correction_table()."""
-    ref = resources.files(__package__).joinpath("data", _DERIVED_RESOURCE)
-    with resources.as_file(ref) as path:
-        return CorrectionTable.from_file(path, "derived")
-
-
-def published_correction_table(path=None) -> CorrectionTable:
-    """The published table wrapped as a CorrectionTable."""
-    return CorrectionTable(published_layers(path), "paper")
-
-
 def layer_achieves_target(key: OutcomeKey, layer: PauliLayer,
                           target: TargetState = GENERIC_TARGET,
                           channels: ChannelPair = GENERIC_CHANNELS) -> bool:
     """Replay steps 1 to 3 for one key and test whether layer restores the target."""
-    pre = _branch_before_correction(key, target, channels)
+    pre = _representative_branch(build_channels(replace(channels, n=1, m=1)),
+                                 alice_basis(target), key, target)
     vmat = triplet_unitary(key.i, key.j, channels)
-    return _layer_succeeds(pre, layer, vmat, build_target(target))
-
-
-def matrices_equal_mod_phase(m1: np.ndarray, m2: np.ndarray,
-                             tol: float = _PHASE_TOL) -> bool:
-    """True iff m1 = e^{i theta} m2 for some real theta."""
-    m1 = np.asarray(m1, dtype=complex)
-    m2 = np.asarray(m2, dtype=complex)
-    if m1.shape != m2.shape:
-        return False
-    prod = m1.conj().T @ m2
-    lam = np.trace(prod) / m1.shape[0]
-    if abs(abs(lam) - 1.0) > tol:
-        return False
-    return bool(np.max(np.abs(prod - lam * np.eye(m1.shape[0]))) <= tol)
-
-
-def layers_equal(l1: PauliLayer, l2: PauliLayer) -> bool:
-    """Layer equality as operators, ignoring any global phase."""
-    if l1.ops == l2.ops:
-        return True
-    return matrices_equal_mod_phase(l1.matrix(), l2.matrix())
+    return _restores_target(pre, layer, vmat, build_target(target))
 
 
 def compare_with_published(derived: CorrectionTable,
@@ -273,7 +181,7 @@ def compare_with_published(derived: CorrectionTable,
     for key in all_outcome_keys():
         d = derived[key]
         p = published[key]
-        if layers_equal(d, p):
+        if d == p:
             continue
         entries.append(DiffEntry(key, p, d, layer_achieves_target(key, p)))
     return TableDiff(tuple(entries))
@@ -307,20 +215,15 @@ class ValidationReport:
 def validate_table(table: CorrectionTable, targets, channels: ChannelPair) -> ValidationReport:
     """Replay full enumerations with the given table over many targets.
 
-    Success branches are the ancilla-0 branches of nonzero probability; a
-    correct table drives every one of them to the target with fidelity 1,
-    independent of which target is being prepared.
+    Success branches are the weighted ancilla-0 branches; a correct table
+    drives every one of them to the target with fidelity 1, independent of
+    which target is being prepared.
     """
-    from .engine import enumerate_branches  # deferred to avoid an import cycle
-    from .metrics import tsp_formula
-
     expected = tsp_formula(channels.a1, channels.b1)
     rows = []
     for t in targets:
         report = enumerate_branches(t, channels, source=table)
-        fids = [b.fid for b in report.branches
-                if b.ancilla == 0 and b.probability > 0.0]
-        min_fid = min(fids) if fids else 0.0
+        min_fid = report.min_success_fidelity() or 0.0
         rows.append(TargetValidation(t, min_fid, report.tsp,
                                      abs(report.tsp - expected)))
     if not rows:

@@ -1,10 +1,11 @@
-"""Objects of the remote-preparation protocol.
+"""Objects and stages of the remote-preparation protocol.
 
 This module builds everything the five protocol steps consume: the four-qubit
 cluster-type target family, the two GHZ-class channels with their controller
 qubits, the sender's projective basis and phase-correction unitaries, the
-receiver's Pauli-correction vocabulary, and the ancilla-coupled triplet
-unitaries that trade success probability for an exact copy of the target.
+receiver's Pauli-correction vocabulary and correction tables, and the
+ancilla-coupled triplet unitaries.  Its stage functions are the one copy of
+the steps that both the branch enumerator and the correction oracle run.
 
 Conventions: amplitudes are real and channel coefficients satisfy
 |a0| >= |a1| and |b0| >= |b1|; the sender holds A1..A4, the receiver holds
@@ -16,15 +17,25 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from types import MappingProxyType
 
 import numpy as np
 
-from .statevec import StateVector, tensor
+from .statevec import (
+    COMPUTATIONAL,
+    KET0,
+    StateVector,
+    apply,
+    fidelity,
+    project,
+    tensor,
+)
 
 __all__ = [
     "NORM_TOL",
     "SQRT_HALF",
     "SUCCESS_FIDELITY",
+    "PROB_FLOOR",
     "PAULI_OPS",
     "LAYER_OPS",
     "BOB_QUBITS",
@@ -33,19 +44,20 @@ __all__ = [
     "ChannelPair",
     "OutcomeKey",
     "PauliLayer",
+    "CorrectionTable",
     "CLUSTER_TARGET",
     "all_outcome_keys",
     "build_target",
-    "build_cluster_state",
     "build_channels",
-    "channel_labels",
     "alice_basis",
     "alice_correction",
     "triplet_unitary",
     "parity",
-    "load_layer_file",
-    "published_layers",
-    "published_correction",
+    "sender_stage",
+    "receiver_stage",
+    "ancilla_readout",
+    "default_derived_table",
+    "published_correction_table",
 ]
 
 NORM_TOL = 1e-9
@@ -54,6 +66,10 @@ SQRT_HALF = 1.0 / math.sqrt(2.0)
 # A branch counts as a success when the receiver's residual matches the
 # target at least this closely; exact branches sit at 1 up to roundoff.
 SUCCESS_FIDELITY = 1.0 - 1e-9
+
+# Branches lighter than this carry no usable state; their fidelity is
+# recorded as 0.0 instead of normalizing a numerically empty vector.
+PROB_FLOOR = 1e-250
 
 BOB_QUBITS = ("B1", "B2", "B3", "B4")
 ANCILLA = "B_A"
@@ -230,36 +246,6 @@ def build_target(t: TargetState, labels=BOB_QUBITS) -> StateVector:
     return StateVector(labels, amps, copy=False)
 
 
-def build_cluster_state(n_qubits: int) -> StateVector:
-    """The N-qubit cluster state from the product formula.
-
-    Each factor contributes |0> on qubit s together with a Z on qubit s+1,
-    or |1> on qubit s alone; the trailing Z acts as identity.  For N = 2 this
-    gives (|00> - |01> + |10> + |11>)/2.
-    """
-    if not isinstance(n_qubits, int) or not 1 <= n_qubits <= 12:
-        raise ValueError(f"cluster size must be an integer in 1..12, got {n_qubits!r}")
-    size = 2 ** n_qubits
-    amps = np.empty(size, dtype=complex)
-    for idx in range(size):
-        bits = [(idx >> (n_qubits - 1 - s)) & 1 for s in range(n_qubits)]
-        sign = 1
-        for s in range(n_qubits - 1):
-            if bits[s] == 0 and bits[s + 1] == 1:
-                sign = -sign
-        amps[idx] = sign
-    amps /= math.sqrt(size)
-    labels = tuple(f"q{k + 1}" for k in range(n_qubits))
-    return StateVector(labels, amps, copy=False)
-
-
-def channel_labels(c: ChannelPair) -> tuple:
-    """Register order: channel 1 qubits first, then channel 2 qubits."""
-    ch1 = ("A1", "A2", "B1", "B2") + tuple(f"C{k + 1}" for k in range(c.n))
-    ch2 = ("A3", "A4", "B3", "B4") + tuple(f"D{k + 1}" for k in range(c.m))
-    return ch1 + ch2
-
-
 def build_channels(c: ChannelPair) -> StateVector:
     """Tensor product of the two GHZ-class channels."""
     ch1 = ("A1", "A2", "B1", "B2") + tuple(f"C{k + 1}" for k in range(c.n))
@@ -357,49 +343,96 @@ def parity(bits) -> int:
     return acc
 
 
-def load_layer_file(path) -> dict:
-    """Parse a 64-line correction table: 'ijpqgh opB1,opB2,opB3,opB4'."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) != 64:
-        raise ValueError(f"correction table must have 64 rows, got {len(lines)}")
-    table = {}
-    for ln in lines:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed table row {ln!r}")
-        key = OutcomeKey.from_bits(parts[0])
-        if key in table:
-            raise ValueError(f"duplicate key {parts[0]} in correction table")
-        table[key] = PauliLayer.from_label(parts[1])
-    return table
+@dataclass(frozen=True)
+class CorrectionTable:
+    """A total, read-only map from the 64 outcome keys to Pauli layers.
+
+    Its text form has one row 'ijpqgh opB1,opB2,opB3,opB4' per key, in key
+    order; from_text parses it and to_text renders it.
+    """
+
+    entries: MappingProxyType
+    provenance: str  # "derived" or "paper"
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        missing = [k for k in all_outcome_keys() if k not in self.entries]
+        if missing or len(self.entries) != 64:
+            raise ValueError(
+                f"correction table must cover all 64 keys ({len(missing)} missing)")
+
+    def __getitem__(self, key: OutcomeKey) -> PauliLayer:
+        return self.entries[key]
+
+    def to_text(self) -> str:
+        return "".join(f"{key.bits()} {self.entries[key].label()}\n"
+                       for key in sorted(self.entries))
+
+    def to_file(self, path) -> None:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(self.to_text())
+
+    @classmethod
+    def from_text(cls, text: str, provenance: str) -> "CorrectionTable":
+        entries = {}
+        for ln in text.splitlines():
+            parts = ln.split()
+            if not parts:
+                continue
+            if len(parts) != 2:
+                raise ValueError(f"malformed table row {ln.strip()!r}")
+            key = OutcomeKey.from_bits(parts[0])
+            if key in entries:
+                raise ValueError(f"duplicate key {parts[0]} in correction table")
+            entries[key] = PauliLayer.from_label(parts[1])
+        return cls(entries, provenance)
 
 
-_PUBLISHED_RESOURCE = "published_corrections.txt"
+@lru_cache(maxsize=None)
+def _shipped_table(resource: str, provenance: str) -> CorrectionTable:
+    ref = resources.files(__package__).joinpath("data", resource)
+    return CorrectionTable.from_text(ref.read_text(encoding="ascii"), provenance)
 
 
-@lru_cache(maxsize=1)
-def _published_default() -> dict:
-    ref = resources.files(__package__).joinpath("data", _PUBLISHED_RESOURCE)
-    with resources.as_file(ref) as path:
-        return load_layer_file(path)
+def default_derived_table() -> CorrectionTable:
+    """The shipped derived table; regenerate with oracle.derive_correction_table()."""
+    return _shipped_table("derived_corrections.txt", "derived")
 
 
-def published_layers(path=None) -> dict:
+def published_correction_table() -> CorrectionTable:
     """The correction table as printed in the published protocol description.
 
     The table is shipped verbatim, including its internally inconsistent
     rows; use the oracle module to audit it against a derived table.
     """
-    if path is not None:
-        return load_layer_file(path)
-    return dict(_published_default())
+    return _shipped_table("published_corrections.txt", "paper")
 
 
-def published_correction(key: OutcomeKey, path=None) -> PauliLayer:
-    """One row of the published correction table."""
-    if path is not None:
-        table = load_layer_file(path)
-    else:
-        table = _published_default()
-    return table[key]
+_ANCILLA_START = StateVector((ANCILLA,), KET0)
+
+
+def sender_stage(psi: StateVector, rows: np.ndarray, i: int, j: int,
+                 t: TargetState):
+    """Steps 1 and 2a: project (A1, A3) onto row 2i+j of rows, then apply the
+    phase correction on (A2, A4); returns the sector state and its probability."""
+    sector, prob = project(psi, ("A1", "A3"), rows, 2 * i + j)
+    return apply(sector, alice_correction(i, j, t), ("A2", "A4")), prob
+
+
+def receiver_stage(state: StateVector, layer: PauliLayer,
+                   vmat: np.ndarray) -> StateVector:
+    """Step 4: apply the key's Pauli layer, then bring in the ancilla B_A in
+    |0> and apply the triplet unitary vmat on (B_A, B1, B3)."""
+    for lbl, op in zip(BOB_QUBITS, layer.ops):
+        if op != "I":
+            state = apply(state, PAULI_OPS[op], (lbl,))
+    return apply(tensor(state, _ANCILLA_START), vmat, (ANCILLA, "B1", "B3"))
+
+
+def ancilla_readout(staged: StateVector, ancilla: int, target_state: StateVector):
+    """Step 5: read the ancilla out as `ancilla`; returns the receiver's
+    unnormalized residual, its probability, and its fidelity with target_state
+    (0.0 at or below PROB_FLOOR)."""
+    residual, prob = project(staged, (ANCILLA,), COMPUTATIONAL, ancilla)
+    fid = fidelity(residual, target_state) if prob > PROB_FLOOR else 0.0
+    return residual, prob, fid

@@ -4,9 +4,15 @@ Each test calls main() with an argv list and checks the exit code and the
 captured output, exactly as a shell user would see them.
 """
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mcrsp
+from mcrsp import cli
 from mcrsp.cli import RunConfig, main, parse_config_text
 from mcrsp.oracle import default_derived_table
 
@@ -116,6 +122,21 @@ class TestEnumerate:
         assert main(["enumerate", "--config", "no-such-file.cfg"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_out_fails_before_the_walk(self, monkeypatch, capsys):
+        def walk(*args, **kwargs):
+            raise AssertionError("enumerate_branches ran before the output opened")
+
+        monkeypatch.setattr(cli, "enumerate_branches", walk)
+        assert main(["enumerate", "--out", "no-such-dir/b.csv"]) == 3
+        assert "error:" in capsys.readouterr().err
+
+    def test_empty_channel_reports_no_fidelity(self, tmp_path, capsys):
+        config = write_config(tmp_path, "a0 = 1\na1 = 0\n")
+        assert main(["enumerate", "--config", config]) == 0
+        out = capsys.readouterr().out
+        assert "tsp=0.000000000000" in out
+        assert "min_success_fidelity=none" in out
+
 
 class TestMc:
     def test_exact_at_defaults(self, capsys):
@@ -190,3 +211,25 @@ class TestArgumentErrors:
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
         assert "enumerate" in capsys.readouterr().out
+
+
+class TestModuleEntryPoint:
+    @staticmethod
+    def run_module(*args):
+        src = str(Path(mcrsp.__file__).resolve().parents[1])
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        return subprocess.run([sys.executable, "-m", "mcrsp.cli", *args],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    def test_missing_subcommand_exits_1(self):
+        assert self.run_module().returncode == 1
+
+    def test_enumerate_writes_the_csv(self, tmp_path):
+        out = tmp_path / "b.csv"
+        result = self.run_module("enumerate", "--out", str(out))
+        assert result.returncode == 0
+        assert f"wrote {out}" in result.stdout
+        assert len(out.read_text().splitlines()) == 129

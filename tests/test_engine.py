@@ -7,6 +7,7 @@ import pytest
 from mcrsp.protocol import (
     CLUSTER_TARGET,
     SQRT_HALF,
+    SUCCESS_FIDELITY,
     ChannelPair,
     TargetState,
     all_outcome_keys,
@@ -40,6 +41,33 @@ def test_maximal_channels_reach_unit_tsp(maximal_report):
 def test_tsp_matches_product_of_smaller_coefficients():
     report = enumerate_branches(CLUSTER_TARGET, GENERIC)
     assert report.tsp == pytest.approx(4.0 * 0.2 * 0.3)
+
+
+GENERIC_TARGET = TargetState.normalized(2.0, 3.0, 4.0, 5.0, 0.3, 0.7, 1.1)
+ROOTS = (math.sqrt(0.8), math.sqrt(0.2), math.sqrt(0.7), math.sqrt(0.3))
+
+
+@pytest.mark.parametrize("target, signs", [
+    (GENERIC_TARGET, (1, -1, 1, 1)),
+    (GENERIC_TARGET, (-1, 1, 1, -1)),
+    (TargetState.normalized(-2.0, 3.0, 4.0, 5.0, 0.3, 0.7, 1.1), (1, 1, 1, 1)),
+    (TargetState.normalized(2.0, 0.0, 4.0, 5.0, 0.3, 0.7, 1.1), (1, 1, 1, 1)),
+    (TargetState.normalized(2.0, 0.0, 0.0, 5.0, 0.3, 0.7, 1.1), (1, 1, 1, 1)),
+    (TargetState(1.0, 0.0, 0.0, 0.0), (1, 1, 1, 1)),
+], ids=["negative-a1", "negative-a0-b1", "negative-alpha",
+        "beta-zero", "beta-gamma-zero", "alpha-one"])
+def test_signed_and_sparse_inputs_keep_the_tsp_law(target, signs):
+    channels = ChannelPair(*(s * r for s, r in zip(signs, ROOTS)), 1, 1)
+    report = enumerate_branches(target, channels)
+    assert abs(report.tsp - 4.0 * (channels.a1 * channels.b1) ** 2) <= 1e-9
+    assert report.min_success_fidelity() >= SUCCESS_FIDELITY
+
+
+def test_empty_channel_has_no_success_branch():
+    channels = ChannelPair(1.0, 0.0, math.sqrt(0.7), math.sqrt(0.3), 1, 1)
+    report = enumerate_branches(GENERIC_TARGET, channels)
+    assert report.tsp == 0.0
+    assert report.min_success_fidelity() is None
 
 
 def test_cluster_target_sector_probabilities():

@@ -1,16 +1,18 @@
 """Tests for the brute-force correction oracle and the table audit."""
 import io
+import sys
 
 import numpy as np
 import pytest
 
 from mcrsp.protocol import (
+    LAYER_OPS,
+    PAULI_OPS,
     SQRT_HALF,
     ChannelPair,
     OutcomeKey,
     PauliLayer,
     TargetState,
-    published_layers,
 )
 from mcrsp.oracle import (
     GENERIC_CHANNELS,
@@ -21,8 +23,6 @@ from mcrsp.oracle import (
     default_derived_table,
     derive_correction_table,
     layer_achieves_target,
-    layers_equal,
-    matrices_equal_mod_phase,
     published_correction_table,
     validate_table,
 )
@@ -98,17 +98,17 @@ def test_comparison_finds_exactly_five_disagreements(derived):
 
 
 def test_published_layers_fail_on_corrupt_keys():
-    table = published_layers()
+    table = published_correction_table()
     for key in CORRUPT_KEYS:
         assert not layer_achieves_target(key, table[key])
 
 
 def test_agreeing_published_layers_replay(derived):
-    table = published_layers()
-    agreeing = [k for k in table if k not in CORRUPT_KEYS]
+    table = published_correction_table()
+    agreeing = [k for k in table.entries if k not in CORRUPT_KEYS]
     assert len(agreeing) == 59
     for key in agreeing[:8]:
-        assert layers_equal(table[key], derived[key])
+        assert table[key] == derived[key]
         assert layer_achieves_target(key, table[key])
 
 
@@ -152,29 +152,72 @@ def test_table_requires_full_key_coverage(derived):
 def test_table_file_roundtrip(tmp_path, derived):
     path = tmp_path / "table.txt"
     derived.to_file(path)
-    again = CorrectionTable.from_file(path, provenance="derived")
+    again = CorrectionTable.from_text(path.read_text(encoding="ascii"),
+                                      provenance="derived")
     assert again.entries == derived.entries
 
 
 def test_published_table_provenance():
     table = published_correction_table()
     assert table.provenance == "paper"
-    assert table.entries == published_layers()
+    assert len(table.entries) == 64
+    assert table[OutcomeKey.from_bits("000111")].label() == "I,I,Z,I"
+
+
+def test_candidate_layers_are_hilbert_schmidt_orthogonal():
+    """tr(L_k^dagger L_l) = 16 delta_kl: no two different layers are equal up
+    to a global phase, so the audit compares layers by their ops alone."""
+    mats = np.array([layer.matrix() for layer in candidate_layers()])
+    gram = np.einsum("kab,lab->kl", mats.conj(), mats)
+    assert np.allclose(gram, 16.0 * np.eye(256), atol=1e-12)
+
+
+def _equal_mod_phase(m1, m2, tol=1e-9):
+    """True iff m1 = e^{i theta} m2 for some real theta."""
+    prod = np.asarray(m1).conj().T @ np.asarray(m2)
+    lam = np.trace(prod) / prod.shape[0]
+    if abs(abs(lam) - 1.0) > tol:
+        return False
+    return bool(np.max(np.abs(prod - lam * np.eye(prod.shape[0]))) <= tol)
 
 
 def test_matrices_equal_mod_phase():
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    z = np.array([[1, 0], [0, -1]], dtype=complex)
-    assert matrices_equal_mod_phase(z @ x, x @ z)
-    assert matrices_equal_mod_phase(x, np.exp(0.7j) * x)
-    assert not matrices_equal_mod_phase(x, z)
+    x = PAULI_OPS["X"]
+    z = PAULI_OPS["Z"]
+    assert _equal_mod_phase(z @ x, x @ z)
+    assert _equal_mod_phase(x, np.exp(0.7j) * x)
+    assert not _equal_mod_phase(x, z)
+    # The four single-qubit correction ops are pairwise distinct up to phase.
+    for a in LAYER_OPS:
+        for b in LAYER_OPS:
+            assert _equal_mod_phase(PAULI_OPS[a], PAULI_OPS[b]) == (a == b)
 
 
-def test_layers_equal_mod_phase():
-    assert layers_equal(PauliLayer(("X", "I", "Z", "I")),
-                        PauliLayer(("X", "I", "Z", "I")))
-    assert not layers_equal(PauliLayer(("X", "I", "Z", "I")),
-                            PauliLayer(("X", "I", "I", "Z")))
+def test_layers_equal_mod_phase(derived):
+    """Layer `==` (by ops) agrees with operator equality up to a global
+    phase, so the audit's `derived[key] != published[key]` is exact."""
+    a = PauliLayer(("X", "I", "Z", "I"))
+    assert a == PauliLayer(("X", "I", "Z", "I"))
+    assert _equal_mod_phase(a.matrix(), PauliLayer(("X", "I", "Z", "I")).matrix())
+    b = PauliLayer(("X", "I", "I", "Z"))
+    assert a != b
+    assert not _equal_mod_phase(a.matrix(), b.matrix())
+    published = published_correction_table()
+    for key in CORRUPT_KEYS:
+        assert derived[key] != published[key]
+        assert not _equal_mod_phase(derived[key].matrix(),
+                                    published[key].matrix())
+
+
+def test_derivation_never_reads_the_published_table(monkeypatch, derived):
+    def forbidden():
+        raise AssertionError("the derivation read the published table")
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "mcrsp" or name.startswith("mcrsp."))
+                and hasattr(module, "published_correction_table")):
+            monkeypatch.setattr(module, "published_correction_table", forbidden)
+    assert derive_correction_table().to_text() == default_derived_table().to_text()
 
 
 def test_diff_csv_format(derived):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcrsp.statevec import StateVector, apply, is_unitary
+from mcrsp.statevec import is_unitary
 from mcrsp.protocol import (
     CLUSTER_TARGET,
     SQRT_HALF,
@@ -18,28 +18,12 @@ from mcrsp.protocol import (
     alice_correction,
     all_outcome_keys,
     build_channels,
-    build_cluster_state,
     build_target,
-    channel_labels,
+    default_derived_table,
     parity,
-    published_correction,
-    published_layers,
+    published_correction_table,
     triplet_unitary,
 )
-
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-CZ = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-
-
-def gate_built_cluster(n):
-    """Independent construction: CZ chain on |+...+>, then Z on qubits 2..N."""
-    labels = tuple(f"q{k + 1}" for k in range(n))
-    state = StateVector(labels, np.full(2 ** n, 2 ** (-n / 2), dtype=complex))
-    for s in range(n - 1):
-        state = apply(state, CZ, (labels[s], labels[s + 1]))
-    for lbl in labels[1:]:
-        state = apply(state, Z, (lbl,))
-    return state
 
 
 class TestTargetState:
@@ -135,33 +119,6 @@ class TestPauliLayer:
         assert mat[8, 0] == 1.0
 
 
-class TestClusterState:
-    def test_single_qubit_is_plus(self):
-        state = build_cluster_state(1)
-        assert np.allclose(state.amps, [SQRT_HALF, SQRT_HALF])
-
-    def test_two_qubit_expansion(self):
-        state = build_cluster_state(2)
-        assert np.allclose(state.amps, [0.5, -0.5, 0.5, 0.5])
-
-    @pytest.mark.parametrize("n", [2, 3, 4, 5])
-    def test_matches_gate_construction(self, n):
-        """Product formula must equal the CZ-chain circuit amplitude by
-        amplitude, not just up to phase."""
-        assert np.allclose(build_cluster_state(n).amps,
-                           gate_built_cluster(n).amps)
-
-    @pytest.mark.parametrize("n", [1, 4, 9])
-    def test_normalized(self, n):
-        assert abs(build_cluster_state(n).squared_norm - 1.0) <= 1e-12
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError, match="1..12"):
-            build_cluster_state(0)
-        with pytest.raises(ValueError, match="1..12"):
-            build_cluster_state(13)
-
-
 class TestBuildTarget:
     def test_cluster_target_amplitudes(self):
         state = build_target(CLUSTER_TARGET)
@@ -181,7 +138,8 @@ class TestChannels:
     def test_maximal_pair_support(self):
         c = ChannelPair(SQRT_HALF, SQRT_HALF, SQRT_HALF, SQRT_HALF, 1, 1)
         state = build_channels(c)
-        assert state.labels == channel_labels(c)
+        assert state.labels == ("A1", "A2", "B1", "B2", "C1",
+                                "A3", "A4", "B3", "B4", "D1")
         assert state.num_qubits == 10
         nonzero = np.flatnonzero(state.amps)
         assert list(nonzero) == [0, 31, 992, 1023]
@@ -284,18 +242,20 @@ class TestParity:
 
 class TestPublishedTable:
     def test_covers_all_keys(self):
-        table = published_layers()
-        assert set(table) == set(all_outcome_keys())
+        table = published_correction_table()
+        assert set(table.entries) == set(all_outcome_keys())
 
     def test_spot_rows(self):
-        assert published_correction(OutcomeKey.from_bits("000000")).label() == "I,I,I,I"
-        assert published_correction(OutcomeKey.from_bits("000010")).label() == "Z,I,I,I"
-        assert published_correction(OutcomeKey.from_bits("100000")).label() == "X,X,I,I"
-        assert published_correction(OutcomeKey.from_bits("111100")).label() == "XZ,X,XZ,X"
-        assert published_correction(OutcomeKey.from_bits("111111")).label() == "X,X,X,X"
+        table = published_correction_table()
+        assert table[OutcomeKey.from_bits("000000")].label() == "I,I,I,I"
+        assert table[OutcomeKey.from_bits("000010")].label() == "Z,I,I,I"
+        assert table[OutcomeKey.from_bits("100000")].label() == "X,X,I,I"
+        assert table[OutcomeKey.from_bits("111100")].label() == "XZ,X,XZ,X"
+        assert table[OutcomeKey.from_bits("111111")].label() == "X,X,X,X"
 
-    def test_returned_mapping_is_a_copy(self):
-        table = published_layers()
+    def test_shipped_tables_are_read_only(self):
         key = OutcomeKey.from_bits("000000")
-        table[key] = PauliLayer(("X", "X", "X", "X"))
-        assert published_correction(key).label() == "I,I,I,I"
+        for accessor in (published_correction_table, default_derived_table):
+            with pytest.raises(TypeError):
+                accessor().entries[key] = PauliLayer(("X", "X", "X", "X"))
+            assert accessor()[key].label() == "I,I,I,I"
