@@ -22,7 +22,6 @@ from .engine import (
     ccc_count,
     enumerate_branches,
     monte_carlo,
-    sample_run,
 )
 from .oracle import (
     GENERIC_CHANNELS,
@@ -66,7 +65,6 @@ __all__ = [
     "ccc_count",
     "enumerate_branches",
     "monte_carlo",
-    "sample_run",
     "GENERIC_CHANNELS",
     "GENERIC_TARGET",
     "CorrectionTable",

@@ -27,7 +27,7 @@ from .protocol import (
     all_outcome_keys,
     triplet_unitary,
 )
-from .engine import ccc_count, enumerate_branches, message_bits, monte_carlo
+from .engine import ccc_count, enumerate_branches, monte_carlo
 from .oracle import (
     GENERIC_CHANNELS,
     GENERIC_TARGET,
@@ -192,7 +192,7 @@ def _check_ccc():
             report = enumerate_branches(CLUSTER_TARGET, maximal_channels(n, m))
             want = ccc_count(n, m)
             if (want != n + m + 4 or report.ccc != want
-                    or any(message_bits(b.messages) != want
+                    or any(4 + len(b.controller_bits) != want
                            for b in report.branches)):
                 bad.append((n, m))
     return not bad, (f"message bits equal n+m+4 for all 16 controller counts"

@@ -185,7 +185,9 @@ def cmd_mc(config: RunConfig) -> int:
     print(f"seed={result.seed}")
     print(f"tsp_estimate={result.estimate:.12f}")
     print(f"std_error={result.std_error:.12f}")
-    if abs(result.estimate - result.exact) > 4.0 * result.std_error + config.tolerance:
+    # Binomial error at the exact value; the printed one is 0 at estimates 0 and 1.
+    sigma = math.sqrt(max(0.0, result.exact * (1.0 - result.exact)) / result.trials)
+    if abs(result.estimate - result.exact) > 4.0 * sigma + config.tolerance:
         print(f"error: estimate {result.estimate:.12g} is more than four "
               f"standard errors from the exact value {result.exact:.12g}",
               file=sys.stderr)

@@ -9,8 +9,9 @@ verifies before reporting anything.
 
 Success means the ancilla reads 0 and the receiver's residual matches the
 target; the total success probability is the summed weight of those leaves.
-Sampling helpers draw from the enumerated distribution rather than rerunning
-any physics, so Monte Carlo estimates check the bookkeeping, not new math.
+A leaf keeps its record, probability and fidelity; the receiver's transcript
+is the record's n+m+4 classical bits.  monte_carlo draws from the enumerated
+distribution rather than rerunning any physics, so it checks the bookkeeping.
 """
 from __future__ import annotations
 
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .statevec import PLUS_MINUS, StateVector, project
+from .statevec import PLUS_MINUS, project
 from .protocol import (
     PROB_FLOOR,
     SUCCESS_FIDELITY,
@@ -41,29 +42,16 @@ from .protocol import (
 )
 
 __all__ = [
-    "Message",
     "BranchOutcome",
     "RunReport",
     "MonteCarloResult",
     "ccc_count",
     "enumerate_branches",
-    "sample_run",
     "monte_carlo",
-    "message_bits",
     "write_branch_csv",
 ]
 
 _COMPLETENESS_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class Message:
-    """One classical transmission, always toward the receiver."""
-
-    sender: str
-    receiver: str
-    bits: tuple
-    step: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,11 +60,10 @@ class BranchOutcome:
 
     probability is the joint probability of the whole record; norm_factor is
     the probability of the record's first-step outcome alone, shared by every
-    branch in that sector.  bob_state is the receiver's residual after his
-    conditional stage, still unnormalized.  fid compares it with the target,
-    or is 0.0 when the branch carries no weight worth comparing.
+    branch in that sector.  fid compares the receiver's final residual with
+    the target, or is 0.0 when the branch carries no weight worth comparing.
     controller_bits are the physical readouts; any misreport injected via
-    flip_report shows up only in the key and the messages.
+    flip_report shows up only in the key.
     """
 
     key: OutcomeKey
@@ -84,9 +71,7 @@ class BranchOutcome:
     ancilla: int
     probability: float
     norm_factor: float
-    bob_state: StateVector
     fid: float
-    messages: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,8 +81,6 @@ class RunReport:
     branches: tuple
     tsp: float
     ccc: int
-    target: TargetState
-    channels: ChannelPair
     correction_source: str
 
     def success_branches(self) -> tuple:
@@ -156,21 +139,6 @@ def _validate_flip(flip_report, channels: ChannelPair):
     return group, idx
 
 
-def _branch_messages(key: OutcomeKey, reported, channels: ChannelPair) -> tuple:
-    msgs = [Message("Alice", "Bob", (key.i, key.j), 1),
-            Message("Alice", "Bob", (key.p, key.q), 2)]
-    for k in range(channels.n):
-        msgs.append(Message(f"C{k + 1}", "Bob", (reported[k],), 3))
-    for k in range(channels.m):
-        msgs.append(Message(f"D{k + 1}", "Bob", (reported[channels.n + k],), 3))
-    return tuple(msgs)
-
-
-def message_bits(messages) -> int:
-    """Total classical bits across a branch's message list."""
-    return sum(len(m.bits) for m in messages)
-
-
 def enumerate_branches(target: TargetState, channels: ChannelPair,
                        source="oracle", *, flip_report=None) -> RunReport:
     """Walk every measurement record of the protocol exactly once.
@@ -178,9 +146,9 @@ def enumerate_branches(target: TargetState, channels: ChannelPair,
     Branches come out in lexicographic record order (sector bits, sender
     readouts, controller bits, ancilla last).  flip_report=("C", k) makes
     controller C_k report the opposite of what it measured; the physical
-    projection still uses the true bit, so only the receiver's key and the
-    transcript are corrupted.  Raises RuntimeError if the leaf probabilities
-    fail to sum to 1, since every conclusion rests on that completeness.
+    projection still uses the true bit, so only the receiver's key is
+    corrupted.  Raises RuntimeError if the leaf probabilities fail to sum to
+    1, since every conclusion rests on that completeness.
     """
     table = _resolve_table(source)
     layers = table.entries
@@ -219,13 +187,11 @@ def enumerate_branches(target: TargetState, channels: ChannelPair,
                                  parity(reported[:channels.n]),
                                  parity(reported[channels.n:]))
                 staged = receiver_stage(state, layers[key], vmats[(i, j)])
-                messages = _branch_messages(key, reported, channels)
                 for anc in (0, 1):
-                    residual, prob, fid = ancilla_readout(staged, anc, target_state)
+                    prob, fid = ancilla_readout(staged, anc, target_state)
                     branches.append(BranchOutcome(
                         key=key, controller_bits=tuple(phys), ancilla=anc,
-                        probability=prob, norm_factor=step1_prob,
-                        bob_state=residual, fid=fid, messages=messages))
+                        probability=prob, norm_factor=step1_prob, fid=fid))
                     total += prob
     if abs(total - 1.0) > _COMPLETENESS_TOL:
         raise RuntimeError(
@@ -233,21 +199,8 @@ def enumerate_branches(target: TargetState, channels: ChannelPair,
     tsp = sum(b.probability for b in branches
               if b.ancilla == 0 and b.fid >= SUCCESS_FIDELITY)
     return RunReport(branches=tuple(branches), tsp=tsp,
-                     ccc=ccc_count(channels.n, channels.m), target=target,
-                     channels=channels, correction_source=table.provenance)
-
-
-def _draw(rng, report: RunReport, size: int) -> np.ndarray:
-    probs = np.array([b.probability for b in report.branches], dtype=float)
-    return rng.choice(len(probs), size=size, p=probs / probs.sum())
-
-
-def sample_run(target: TargetState, channels: ChannelPair, source="oracle",
-               seed=None, *, flip_report=None) -> BranchOutcome:
-    """Draw one branch from the exact joint distribution."""
-    report = enumerate_branches(target, channels, source, flip_report=flip_report)
-    rng = np.random.default_rng(seed)
-    return report.branches[int(_draw(rng, report, 1)[0])]
+                     ccc=ccc_count(channels.n, channels.m),
+                     correction_source=table.provenance)
 
 
 def monte_carlo(target: TargetState, channels: ChannelPair, source="oracle",
@@ -262,8 +215,10 @@ def monte_carlo(target: TargetState, channels: ChannelPair, source="oracle",
     report = enumerate_branches(target, channels, source)
     success = np.array([b.ancilla == 0 and b.fid >= SUCCESS_FIDELITY
                         for b in report.branches], dtype=bool)
-    rng = np.random.default_rng(seed)
-    successes = int(success[_draw(rng, report, trials)].sum())
+    probs = np.array([b.probability for b in report.branches], dtype=float)
+    draws = np.random.default_rng(seed).choice(len(probs), size=trials,
+                                               p=probs / probs.sum())
+    successes = int(success[draws].sum())
     estimate = successes / trials
     std_error = math.sqrt(estimate * (1.0 - estimate) / trials)
     return MonteCarloResult(trials=trials, seed=seed, successes=successes,

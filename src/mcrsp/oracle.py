@@ -127,7 +127,7 @@ def _representative_branch(psi: StateVector, rows, key: OutcomeKey,
 def _restores_target(pre: StateVector, layer: PauliLayer, vmat,
                      target_state: StateVector) -> bool:
     """Steps 4 and 5: does layer leave the ancilla-0 residual on the target?"""
-    _, _, fid = ancilla_readout(receiver_stage(pre, layer, vmat), 0, target_state)
+    _, fid = ancilla_readout(receiver_stage(pre, layer, vmat), 0, target_state)
     return fid >= SUCCESS_FIDELITY
 
 

@@ -36,6 +36,7 @@ __all__ = [
     "SQRT_HALF",
     "SUCCESS_FIDELITY",
     "PROB_FLOOR",
+    "MAX_CONTROLLERS",
     "PAULI_OPS",
     "LAYER_OPS",
     "BOB_QUBITS",
@@ -70,6 +71,9 @@ SUCCESS_FIDELITY = 1.0 - 1e-9
 # Branches lighter than this carry no usable state; their fidelity is
 # recorded as 0.0 instead of normalizing a numerically empty vector.
 PROB_FLOOR = 1e-250
+
+# Largest n+m the dense register accepts: 2^(8+16) amplitudes, 256 MiB.
+MAX_CONTROLLERS = 16
 
 BOB_QUBITS = ("B1", "B2", "B3", "B4")
 ANCILLA = "B_A"
@@ -247,7 +251,11 @@ def build_target(t: TargetState, labels=BOB_QUBITS) -> StateVector:
 
 
 def build_channels(c: ChannelPair) -> StateVector:
-    """Tensor product of the two GHZ-class channels."""
+    """Tensor product of the two GHZ-class channels; refuses n+m > MAX_CONTROLLERS."""
+    if c.n + c.m > MAX_CONTROLLERS:
+        raise ValueError(
+            f"n+m = {c.n + c.m} controllers exceeds the dense-register limit "
+            f"of {MAX_CONTROLLERS} (2^{8 + MAX_CONTROLLERS} amplitudes)")
     ch1 = ("A1", "A2", "B1", "B2") + tuple(f"C{k + 1}" for k in range(c.n))
     ch2 = ("A3", "A4", "B3", "B4") + tuple(f"D{k + 1}" for k in range(c.m))
     amps1 = np.zeros(2 ** len(ch1), dtype=complex)
@@ -430,9 +438,9 @@ def receiver_stage(state: StateVector, layer: PauliLayer,
 
 
 def ancilla_readout(staged: StateVector, ancilla: int, target_state: StateVector):
-    """Step 5: read the ancilla out as `ancilla`; returns the receiver's
-    unnormalized residual, its probability, and its fidelity with target_state
-    (0.0 at or below PROB_FLOOR)."""
+    """Step 5: read the ancilla out as `ancilla`; returns the probability of
+    that readout and the fidelity of the receiver's residual with
+    target_state (0.0 at or below PROB_FLOOR)."""
     residual, prob = project(staged, (ANCILLA,), COMPUTATIONAL, ancilla)
     fid = fidelity(residual, target_state) if prob > PROB_FLOOR else 0.0
-    return residual, prob, fid
+    return prob, fid

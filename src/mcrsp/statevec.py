@@ -79,9 +79,6 @@ class StateVector:
     def squared_norm(self) -> float:
         return float(np.real(np.vdot(self.amps, self.amps)))
 
-    def is_normalized(self, tol: float = 1e-12) -> bool:
-        return abs(self.squared_norm - 1.0) <= tol
-
     def normalized(self) -> "StateVector":
         n2 = self.squared_norm
         if n2 <= 0.0:

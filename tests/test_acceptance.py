@@ -3,6 +3,8 @@
 Run `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line per
 criterion, or `mcrsp verify` for the same suite outside pytest.
 """
+from dataclasses import replace
+
 import pytest
 
 from mcrsp import acceptance
@@ -21,3 +23,18 @@ def test_criterion(criterion):
 
 def test_criteria_are_numbered_in_order():
     assert [c.number for c in acceptance.CRITERIA] == list(range(1, 12))
+
+
+def test_ccc_check_catches_a_missing_controller_bit(monkeypatch):
+    enumerate_branches = acceptance.enumerate_branches
+
+    def one_bit_short(*args, **kwargs):
+        report = enumerate_branches(*args, **kwargs)
+        first = report.branches[0]
+        broken = replace(first, controller_bits=first.controller_bits[:-1])
+        return replace(report, branches=(broken,) + report.branches[1:])
+
+    monkeypatch.setattr(acceptance, "enumerate_branches", one_bit_short)
+    passed, detail = acceptance.CRITERIA[5].func()
+    assert not passed
+    assert detail.startswith("mismatched message bits at [(0, 1),")

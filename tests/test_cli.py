@@ -7,12 +7,14 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mcrsp
-from mcrsp import cli
+from mcrsp import cli, protocol
 from mcrsp.cli import RunConfig, main, parse_config_text
 from mcrsp.oracle import default_derived_table
 
@@ -130,6 +132,17 @@ class TestEnumerate:
         assert main(["enumerate", "--out", "no-such-dir/b.csv"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_oversized_register_exits_1(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past the size guard")
+
+        monkeypatch.setattr(protocol, "tensor", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
+        config = write_config(tmp_path, "n_controllers = 9\nm_controllers = 8\n")
+        for command in ("enumerate", "mc"):
+            assert main([command, "--config", config]) == 1
+            assert "dense-register limit of 16" in capsys.readouterr().err
+
     def test_empty_channel_reports_no_fidelity(self, tmp_path, capsys):
         config = write_config(tmp_path, "a0 = 1\na1 = 0\n")
         assert main(["enumerate", "--config", config]) == 0
@@ -160,6 +173,30 @@ class TestMc:
         config = write_config(tmp_path, "trials = 50\n")
         assert main(["mc", "--config", config, "--trials", "77"]) == 0
         assert "trials=77" in capsys.readouterr().out
+
+    def test_zero_estimate_of_a_small_tsp_passes(self, tmp_path, capsys):
+        # tsp = 4 (0.03 / sqrt 2)^2 = 0.0018: 100 trials usually see no success,
+        # and the estimate's own standard error is then 0.
+        config = write_config(tmp_path, "a0 = 0.9995498987044118\na1 = 0.03\n")
+        for seed in ("1", "2", "3", "4"):
+            assert main(["mc", "--config", config, "--trials", "100",
+                         "--seed", seed]) == 0
+            out = capsys.readouterr().out
+            assert "tsp_estimate=0.000000000000" in out
+            assert "std_error=0.000000000000" in out
+
+    def test_far_off_estimate_fails(self, tmp_path, monkeypatch, capsys):
+        monte_carlo = cli.monte_carlo
+
+        def far_off(*args, **kwargs):
+            result = monte_carlo(*args, **kwargs)
+            return replace(result, estimate=result.exact + 0.1)
+
+        monkeypatch.setattr(cli, "monte_carlo", far_off)
+        config = write_config(tmp_path, "a0 = 0.8944271909999159\n"
+                                        "a1 = 0.4472135954999579\n")
+        assert main(["mc", "--config", config]) == 2
+        assert "standard errors" in capsys.readouterr().err
 
 
 class TestTable:

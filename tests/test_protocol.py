@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mcrsp import protocol
 from mcrsp.statevec import is_unitary
 from mcrsp.protocol import (
     CLUSTER_TARGET,
@@ -155,6 +156,23 @@ class TestChannels:
         c = ChannelPair(SQRT_HALF, SQRT_HALF, SQRT_HALF, SQRT_HALF, 0, 0)
         state = build_channels(c)
         assert state.labels == ("A1", "A2", "B1", "B2", "A3", "A4", "B3", "B4")
+
+    def test_size_guard_refuses_before_allocating(self, monkeypatch):
+        class Allocated(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise Allocated
+
+        # n+m = 17 is refused before the dense product; 16 still reaches it.
+        monkeypatch.setattr(protocol, "tensor", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
+        with pytest.raises(ValueError, match="limit of 16"):
+            build_channels(ChannelPair(SQRT_HALF, SQRT_HALF, SQRT_HALF,
+                                       SQRT_HALF, 9, 8))
+        with pytest.raises(Allocated):
+            build_channels(ChannelPair(SQRT_HALF, SQRT_HALF, SQRT_HALF,
+                                       SQRT_HALF, 8, 8))
 
 
 class TestAliceBasis:
