@@ -19,7 +19,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .protocol import SQRT_HALF, ChannelPair, TargetState
+from .protocol import SQRT_HALF, ChannelPair, TargetState, check_controller_count
 from .engine import enumerate_branches, monte_carlo, write_branch_csv
 from .oracle import compare_with_published, derive_correction_table
 from .metrics import (
@@ -155,8 +155,11 @@ def cmd_enumerate(config: RunConfig) -> int:
     closed-form success probability."""
     target = config.target()
     channels = config.channels()
+    # Refuse an oversized run before opening the output, so an existing
+    # file survives it; open the output before the walk, so an unwritable
+    # path fails fast.
+    check_controller_count(channels)
     out = config.out or "branches.csv"
-    # Open the output before the walk, so an unwritable path fails fast.
     with open(out, "w", encoding="ascii", newline="") as fh:
         report = enumerate_branches(target, channels, config.source)
         write_branch_csv(report, fh)

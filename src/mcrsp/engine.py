@@ -1,11 +1,29 @@
 """Exact branch enumeration of the full preparation protocol.
 
-One run of the simulator walks every measurement record once: the sender's
+One run of the simulator reports every measurement record once: the sender's
 four-outcome basis measurement, her two diagonal-corrected readouts, one bit
 per controller, and the receiver's ancilla flag.  Residual states are kept
 unnormalized throughout, so the squared norm of a leaf is the joint
 probability of its record and the leaves must sum to 1, which the enumerator
 verifies before reporting anything.
+
+The receiver uses each channel's controller bits only through their parity
+(g, h), so the records fall into parity classes: every record with the same
+sector (i, j), sender readouts (p, q) and physical parities (g, h) leaves the
+same residual.  The physics therefore runs once per class, at most 64 of
+them, on a register with min(n, 1) and min(m, 1) controllers (at most 2^10
+amplitudes): the representative C1 and D1 readouts carry g and h, and the
+records expand from the classes afterwards.  A flipped report toggles the
+reported parity, which picks the key and so the correction layer.
+
+The collapse is bit-identical to projecting every controller on the full
+2^(8+n+m) register.  The channels are GHZ-class, so wherever a controller is
+projected onto |+> or |->, each surviving amplitude has an exact-zero partner
+and is multiplied by +-1/sqrt(2) with one rounding.  Sign changes are exact,
+so a residual projected through k controllers equals the representative's
+residual multiplied by 1/sqrt(2) once for each of the other k-1, in the same
+roundings.  The one sum taken over the whole register, a sector's
+probability (norm_factor), is summed on the reduced register.
 
 Success means the ancilla reads 0 and the receiver's residual matches the
 target; the total success probability is the summed weight of those leaves.
@@ -15,15 +33,16 @@ distribution rather than rerunning any physics, so it checks the bookkeeping.
 """
 from __future__ import annotations
 
-import csv
+import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .statevec import PLUS_MINUS, project
+from .statevec import PLUS_MINUS, StateVector, project
 from .protocol import (
     PROB_FLOOR,
+    SQRT_HALF,
     SUCCESS_FIDELITY,
     ChannelPair,
     CorrectionTable,
@@ -33,6 +52,7 @@ from .protocol import (
     ancilla_readout,
     build_channels,
     build_target,
+    check_controller_count,
     default_derived_table,
     parity,
     published_correction_table,
@@ -141,26 +161,38 @@ def _validate_flip(flip_report, channels: ChannelPair):
 
 def enumerate_branches(target: TargetState, channels: ChannelPair,
                        source="oracle", *, flip_report=None) -> RunReport:
-    """Walk every measurement record of the protocol exactly once.
+    """Report every measurement record of the protocol exactly once.
 
     Branches come out in lexicographic record order (sector bits, sender
     readouts, controller bits, ancilla last).  flip_report=("C", k) makes
     controller C_k report the opposite of what it measured; the physical
     projection still uses the true bit, so only the receiver's key is
-    corrupted.  Raises RuntimeError if the leaf probabilities fail to sum to
-    1, since every conclusion rests on that completeness.
+    corrupted.  Raises ValueError before any work if n+m exceeds
+    MAX_CONTROLLERS, and RuntimeError if the leaf probabilities fail to sum
+    to 1, since every conclusion rests on that completeness.
+
+    Steps 1 to 5 run once per parity class (see the module docstring): each
+    controller beyond the representative C1/D1 rescales the class residual
+    by 1/sqrt(2).  Each record then takes its class's probabilities and
+    fidelities under the key of its reported parities, and tsp and the
+    completeness total are summed over records in record order.
     """
+    check_controller_count(channels)
     table = _resolve_table(source)
     layers = table.entries
     flip = _validate_flip(flip_report, channels)
+    n, m = channels.n, channels.m
+    flip_g = int(flip is not None and flip[0] == "C")
+    flip_h = int(flip is not None and flip[0] == "D")
     target_state = build_target(target)
     rows = alice_basis(target)
-    psi = build_channels(channels)
+    psi = build_channels(replace(channels, n=min(n, 1), m=min(m, 1)))
     vmats = {(i, j): triplet_unitary(i, j, channels)
              for i in (0, 1) for j in (0, 1)}
-    meas_labels = (["A2", "A4"]
-                   + [f"C{k}" for k in range(1, channels.n + 1)]
-                   + [f"D{k}" for k in range(1, channels.m + 1)])
+    meas_labels = ["A2", "A4"] + ["C1"] * min(n, 1) + ["D1"] * min(m, 1)
+    further = n + m - min(n, 1) - min(m, 1)
+    records = [(bits, parity(bits[:n]), parity(bits[n:]))
+               for bits in itertools.product((0, 1), repeat=n + m)]
 
     branches = []
     total = 0.0
@@ -175,24 +207,28 @@ def enumerate_branches(target: TargetState, channels: ChannelPair,
                         residual, _ = project(state, (lbl,), PLUS_MINUS, out)
                         nxt.append((bits + (out,), residual))
                 level = nxt
+            classes = {}
             for bits, state in level:
                 p, q = bits[0], bits[1]
-                phys = bits[2:]
-                reported = list(phys)
-                if flip is not None:
-                    group, idx = flip
-                    pos = idx - 1 if group == "C" else channels.n + idx - 1
-                    reported[pos] = 1 - reported[pos]
-                key = OutcomeKey(i, j, p, q,
-                                 parity(reported[:channels.n]),
-                                 parity(reported[channels.n:]))
+                g = bits[2] if n else 0
+                h = bits[-1] if m else 0
+                for _ in range(further):
+                    state = StateVector(state.labels, state.amps * SQRT_HALF,
+                                        copy=False)
+                key = OutcomeKey(i, j, p, q, g ^ flip_g, h ^ flip_h)
                 staged = receiver_stage(state, layers[key], vmats[(i, j)])
-                for anc in (0, 1):
-                    prob, fid = ancilla_readout(staged, anc, target_state)
-                    branches.append(BranchOutcome(
-                        key=key, controller_bits=tuple(phys), ancilla=anc,
-                        probability=prob, norm_factor=step1_prob, fid=fid))
-                    total += prob
+                readouts = [ancilla_readout(staged, anc, target_state) for anc in (0, 1)]
+                classes[p, q, g, h] = key, readouts
+            for p in (0, 1):
+                for q in (0, 1):
+                    for bits, g, h in records:
+                        key, readouts = classes[p, q, g, h]
+                        for anc, (prob, fid) in enumerate(readouts):
+                            branches.append(BranchOutcome(
+                                key=key, controller_bits=bits, ancilla=anc,
+                                probability=prob, norm_factor=step1_prob,
+                                fid=fid))
+                            total += prob
     if abs(total - 1.0) > _COMPLETENESS_TOL:
         raise RuntimeError(
             f"branch probabilities sum to {total!r}, not 1; enumeration is incomplete")
@@ -227,13 +263,27 @@ def monte_carlo(target: TargetState, channels: ChannelPair, source="oracle",
 
 
 def write_branch_csv(report: RunReport, fh) -> None:
-    """Dump every branch: one row per measurement record and ancilla value."""
-    writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(["ijpqgh", "controller_bits", "ancilla",
-                     "probability", "fidelity"])
+    """Dump every branch: one row per measurement record and ancilla value.
+
+    The records of one parity class share their key, probability and
+    fidelity objects, and records with the same controller bits share one
+    tuple, so each piece is formatted once per distinct object.  The caches
+    are keyed on object identity, which is exact while the report keeps
+    every object alive.
+    """
+    fh.write("ijpqgh,controller_bits,ancilla,probability,fidelity\n")
+    keys, controllers, tails = {}, {}, {}
     for b in report.branches:
-        writer.writerow([b.key.bits(),
-                         "".join(str(x) for x in b.controller_bits),
-                         b.ancilla,
-                         f"{b.probability:.12g}",
-                         f"{b.fid:.12g}"])
+        head = keys.get(id(b.key))
+        if head is None:
+            head = keys[id(b.key)] = b.key.bits() + ","
+        bits = controllers.get(id(b.controller_bits))
+        if bits is None:
+            bits = controllers[id(b.controller_bits)] = (
+                "".join(str(x) for x in b.controller_bits) + ",")
+        tail_id = (b.ancilla, id(b.probability), id(b.fid))
+        tail = tails.get(tail_id)
+        if tail is None:
+            tail = tails[tail_id] = (
+                f"{b.ancilla},{b.probability:.12g},{b.fid:.12g}\n")
+        fh.write(head + bits + tail)

@@ -49,6 +49,7 @@ __all__ = [
     "CLUSTER_TARGET",
     "all_outcome_keys",
     "build_target",
+    "check_controller_count",
     "build_channels",
     "alice_basis",
     "alice_correction",
@@ -72,7 +73,9 @@ SUCCESS_FIDELITY = 1.0 - 1e-9
 # recorded as 0.0 instead of normalizing a numerically empty vector.
 PROB_FLOOR = 1e-250
 
-# Largest n+m the dense register accepts: 2^(8+16) amplitudes, 256 MiB.
+# Largest n+m accepted.  An enumeration has 2^(n+m+4) records and writes
+# 2^(n+m+5) CSV rows (2.1M rows at the limit); build_channels's dense
+# register has 2^(8+n+m) amplitudes (256 MiB at the limit).
 MAX_CONTROLLERS = 16
 
 BOB_QUBITS = ("B1", "B2", "B3", "B4")
@@ -250,12 +253,17 @@ def build_target(t: TargetState, labels=BOB_QUBITS) -> StateVector:
     return StateVector(labels, amps, copy=False)
 
 
-def build_channels(c: ChannelPair) -> StateVector:
-    """Tensor product of the two GHZ-class channels; refuses n+m > MAX_CONTROLLERS."""
+def check_controller_count(c: ChannelPair) -> None:
+    """Raise ValueError if n+m exceeds MAX_CONTROLLERS."""
     if c.n + c.m > MAX_CONTROLLERS:
         raise ValueError(
             f"n+m = {c.n + c.m} controllers exceeds the dense-register limit "
             f"of {MAX_CONTROLLERS} (2^{8 + MAX_CONTROLLERS} amplitudes)")
+
+
+def build_channels(c: ChannelPair) -> StateVector:
+    """Tensor product of the two GHZ-class channels; refuses n+m > MAX_CONTROLLERS."""
+    check_controller_count(c)
     ch1 = ("A1", "A2", "B1", "B2") + tuple(f"C{k + 1}" for k in range(c.n))
     ch2 = ("A3", "A4", "B3", "B4") + tuple(f"D{k + 1}" for k in range(c.m))
     amps1 = np.zeros(2 ** len(ch1), dtype=complex)

@@ -143,6 +143,20 @@ class TestEnumerate:
             assert main([command, "--config", config]) == 1
             assert "dense-register limit of 16" in capsys.readouterr().err
 
+    def test_refused_run_keeps_an_existing_output(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past the size guard")
+
+        monkeypatch.setattr(protocol, "tensor", refuse)
+        monkeypatch.setattr(np, "kron", refuse)
+        existing = tmp_path / "branches.csv"
+        existing.write_bytes(b"ijpqgh,controller_bits,ancilla,probability,fidelity\n")
+        before = existing.read_bytes()
+        config = write_config(tmp_path, "n_controllers = 9\nm_controllers = 8\n")
+        assert main(["enumerate", "--config", config]) == 1
+        assert "dense-register limit of 16" in capsys.readouterr().err
+        assert existing.read_bytes() == before
+
     def test_empty_channel_reports_no_fidelity(self, tmp_path, capsys):
         config = write_config(tmp_path, "a0 = 1\na1 = 0\n")
         assert main(["enumerate", "--config", config]) == 0

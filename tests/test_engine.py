@@ -2,8 +2,12 @@
 import io
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from mcrsp import engine, protocol
 from mcrsp.protocol import (
     CLUSTER_TARGET,
     SQRT_HALF,
@@ -18,6 +22,7 @@ from mcrsp.engine import (
     monte_carlo,
     write_branch_csv,
 )
+from reference_walk import reference_csv, reference_enumerate
 
 MAXIMAL = ChannelPair(SQRT_HALF, SQRT_HALF, SQRT_HALF, SQRT_HALF, 1, 1)
 GENERIC = ChannelPair(math.sqrt(0.8), math.sqrt(0.2),
@@ -197,3 +202,87 @@ def test_branch_csv_format(maximal_report):
     assert len(lines) == 129
     assert lines[1] == "000000,00,0,0.015625,1"
     assert lines[2] == "000000,00,1,0,0"
+
+
+# --- the parity-collapsed walk against the full-register reference ---------
+
+_AMPLITUDE = st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.floats(-1.0, -0.05))
+_PHASE = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def _runs(draw):
+    """A target, channels with n, m in 0..2 and a table source and report,
+    reaching signed coefficients, a1=0 or b1=0 and zero target amplitudes."""
+    amps = draw(st.lists(_AMPLITUDE, min_size=4, max_size=4)
+                .filter(lambda xs: any(xs)))
+    target = TargetState.normalized(*amps, *draw(st.tuples(_PHASE, _PHASE, _PHASE)))
+    n, m = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    coeffs = []
+    for _ in range(2):
+        small = math.sqrt(draw(st.one_of(st.just(0.0), st.floats(0.0, 0.45))))
+        coeffs += [draw(st.sampled_from((1, -1))) * math.sqrt(1.0 - small * small),
+                   draw(st.sampled_from((1, -1))) * small]
+    channels = ChannelPair(*coeffs, n, m)
+    flips = ([None] + [("C", k) for k in range(1, n + 1)]
+             + [("D", k) for k in range(1, m + 1)])
+    return (target, channels, draw(st.sampled_from(("oracle", "paper"))),
+            draw(st.sampled_from(flips)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_runs())
+def test_collapsed_walk_equals_the_full_register_walk(run):
+    target, channels, source, flip = run
+    got = enumerate_branches(target, channels, source, flip_report=flip)
+    want = reference_enumerate(target, channels, source, flip_report=flip)
+
+    def records(report):
+        return [(b.key, b.controller_bits, b.ancilla, b.probability, b.fid)
+                for b in report.branches]
+
+    assert got.tsp == want.tsp
+    assert records(got) == records(want)
+
+
+@pytest.mark.parametrize("flip", [None, ("C", 2), ("D", 1)])
+def test_branch_csv_bytes_match_the_reference(flip):
+    channels = ChannelPair(ROOTS[0], -ROOTS[1], ROOTS[2], ROOTS[3], 2, 2)
+    got, want = io.StringIO(), io.StringIO()
+    write_branch_csv(enumerate_branches(GENERIC_TARGET, channels, flip_report=flip), got)
+    reference_csv(reference_enumerate(GENERIC_TARGET, channels, flip_report=flip), want)
+    # Compared as lines, so a failure names the first differing row quickly.
+    assert got.getvalue().splitlines(True) == want.getvalue().splitlines(True)
+
+
+def test_walk_cost_does_not_grow_with_the_controllers(monkeypatch):
+    """The register and the projections stay those of one controller per
+    channel; only the per-record expansion grows."""
+    calls = []
+    project = protocol.project
+
+    def counted(state, *args, **kwargs):
+        calls.append(state.amps.size)
+        return project(state, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "project", counted)
+    monkeypatch.setattr(protocol, "project", counted)
+    per_run = []
+    for n, m in ((1, 1), (3, 2), (5, 5)):
+        calls.clear()
+        channels = ChannelPair(*ROOTS, n, m)
+        report = enumerate_branches(GENERIC_TARGET, channels)
+        assert len(report.branches) == 2 ** (n + m + 5)
+        per_run.append((len(calls), max(calls)))
+    assert per_run == [(252, 2 ** 10)] * 3
+
+
+def test_size_guard_refuses_before_any_work(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("worked past the size guard")
+
+    monkeypatch.setattr(engine, "_resolve_table", refuse)
+    monkeypatch.setattr(protocol, "tensor", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
+    with pytest.raises(ValueError, match="limit of 16"):
+        enumerate_branches(CLUSTER_TARGET, ChannelPair(*ROOTS, 9, 8))
