@@ -33,7 +33,7 @@ from .oracle import (
     GENERIC_TARGET,
     compare_with_published,
     derive_correction_table,
-    layer_achieves_target,
+    layers_achieve_target,
     published_correction_table,
     validate_table,
 )
@@ -176,7 +176,7 @@ def _check_correction_audit():
     published = published_correction_table()
     disagreeing = set(diff.keys())
     agreeing = [k for k in all_outcome_keys() if k not in disagreeing]
-    agree_ok = all(layer_achieves_target(k, published[k]) for k in agreeing)
+    agree_ok = all(layers_achieve_target({k: published[k] for k in agreeing}).values())
 
     ok = fid_ok and deterministic and agree_ok
     return ok, (f"min success fidelity {report.min_fidelity:.12f} over 10 "
@@ -192,8 +192,8 @@ def _check_ccc():
             report = enumerate_branches(CLUSTER_TARGET, maximal_channels(n, m))
             want = ccc_count(n, m)
             if (want != n + m + 4 or report.ccc != want
-                    or any(4 + len(b.controller_bits) != want
-                           for b in report.branches)):
+                    or any(4 + len(bits) != want
+                           for bits, _ in report.controllers)):
                 bad.append((n, m))
     return not bad, (f"message bits equal n+m+4 for all 16 controller counts"
                      if not bad else f"mismatched message bits at {bad}")

@@ -162,10 +162,10 @@ def cmd_enumerate(config: RunConfig) -> int:
     out = config.out or "branches.csv"
     with open(out, "w", encoding="ascii", newline="") as fh:
         report = enumerate_branches(target, channels, config.source)
-        write_branch_csv(report, fh)
+        rows = write_branch_csv(report, fh)
     fid = report.min_success_fidelity()
     print(f"wrote {out}")
-    print(f"branches={len(report.branches)}")
+    print(f"branches={rows}")
     print(f"ccc={report.ccc}")
     print(f"tsp={report.tsp:.12f}")
     print("min_success_fidelity="
@@ -218,12 +218,14 @@ def cmd_table(config: RunConfig) -> int:
 def cmd_metrics(config: RunConfig) -> int:
     """Write the success-probability sweep, entropy curve, and comparison
     table; print the comparison as aligned text."""
+    # The sweep refuses an oversized grid before any output is touched.
+    sweep = tsp_sweep(config.resolution)
     out = _out_dir(config)
     sweep_path = os.path.join(out, "tsp_sweep.csv")
     curve_path = os.path.join(out, "entropy_curve.csv")
     comparison_path = os.path.join(out, "comparison.csv")
     with open(sweep_path, "w", encoding="ascii", newline="") as fh:
-        write_tsp_sweep_csv(tsp_sweep(config.resolution), fh)
+        write_tsp_sweep_csv(sweep, fh)
     with open(curve_path, "w", encoding="ascii", newline="") as fh:
         write_entropy_csv(entropy_curve(config.resolution), fh)
     rows = comparison_table()

@@ -7,57 +7,38 @@ unnormalized throughout, so the squared norm of a leaf is the joint
 probability of its record and the leaves must sum to 1, which the enumerator
 verifies before reporting anything.
 
-The receiver uses each channel's controller bits only through their parity
-(g, h), so the records fall into parity classes: every record with the same
-sector (i, j), sender readouts (p, q) and physical parities (g, h) leaves the
-same residual.  The physics therefore runs once per class, at most 64 of
-them, on a register with min(n, 1) and min(m, 1) controllers (at most 2^10
-amplitudes): the representative C1 and D1 readouts carry g and h, and the
-records expand from the classes afterwards.  A flipped report toggles the
-reported parity, which picks the key and so the correction layer.
-
-The collapse is bit-identical to projecting every controller on the full
-2^(8+n+m) register.  The channels are GHZ-class, so wherever a controller is
-projected onto |+> or |->, each surviving amplitude has an exact-zero partner
-and is multiplied by +-1/sqrt(2) with one rounding.  Sign changes are exact,
-so a residual projected through k controllers equals the representative's
-residual multiplied by 1/sqrt(2) once for each of the other k-1, in the same
-roundings.  The one sum taken over the whole register, a sector's
-probability (norm_factor), is summed on the reduced register.
-
 Success means the ancilla reads 0 and the receiver's residual matches the
-target; the total success probability is the summed weight of those leaves.
-A leaf keeps its record, probability and fidelity; the receiver's transcript
-is the record's n+m+4 classical bits.  monte_carlo draws from the enumerated
-distribution rather than rerunning any physics, so it checks the bookkeeping.
+target.  The physics runs once per parity class (protocol.class_residuals).
+A RunReport keeps the at most 64 class outcomes and the 2^(n+m) controller
+readouts; records() joins them in record order, and tsp, the completeness
+total, the CSV, the Monte Carlo arrays and the branches view all read it.
+monte_carlo draws from the enumerated distribution rather than rerunning any
+physics, so it checks the bookkeeping.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .statevec import PLUS_MINUS, StateVector, project
 from .protocol import (
     PROB_FLOOR,
-    SQRT_HALF,
     SUCCESS_FIDELITY,
     ChannelPair,
     CorrectionTable,
     OutcomeKey,
     TargetState,
-    alice_basis,
     ancilla_readout,
-    build_channels,
     build_target,
     check_controller_count,
+    class_residuals,
     default_derived_table,
     parity,
     published_correction_table,
     receiver_stage,
-    sender_stage,
     triplet_unitary,
 )
 
@@ -72,6 +53,9 @@ __all__ = [
 ]
 
 _COMPLETENESS_TOL = 1e-9
+
+# Largest trial count; the draw holds 16 bytes per trial, 256 MiB at the limit.
+MAX_TRIALS = 2 ** 24
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,22 +79,52 @@ class BranchOutcome:
 
 
 @dataclass(frozen=True, eq=False)
-class RunReport:
-    """Everything one exact enumeration produces."""
+class ClassOutcome:
+    """What every record of one parity class shares: the reported key, the
+    sector's step-1 probability, and (probability, fid) per ancilla value."""
 
-    branches: tuple
-    tsp: float
+    key: OutcomeKey
+    norm_factor: float
+    readouts: tuple
+
+
+@dataclass(frozen=True, eq=False)
+class RunReport:
+    """Everything one exact enumeration produces: classes maps the physical
+    (i, j, p, q, g, h) to its ClassOutcome, and controllers holds (bits,
+    (g, h)) for every controller readout, in record order."""
+
+    classes: dict
+    controllers: tuple
     ccc: int
     correction_source: str
 
-    def success_branches(self) -> tuple:
-        return tuple(b for b in self.branches
-                     if b.ancilla == 0 and b.probability > PROB_FLOOR)
+    def records(self):
+        """(physical class, its ClassOutcome, controller bits) of every record,
+        in record order: sector bits, sender readouts, controller bits."""
+        for sector in itertools.product((0, 1), repeat=4):
+            for bits, parities in self.controllers:
+                cls = sector + parities
+                yield cls, self.classes[cls], bits
+
+    @cached_property
+    def tsp(self) -> float:
+        """Summed weight of the ancilla-0 records that reach the target."""
+        return sum(c.readouts[0][0] for _, c, _ in self.records()
+                   if c.readouts[0][1] >= SUCCESS_FIDELITY)
+
+    @property
+    def branches(self) -> tuple:
+        """One BranchOutcome per record and ancilla value, in record order;
+        built on every access, 2^(n+m+5) of them."""
+        return tuple(BranchOutcome(c.key, bits, anc, prob, c.norm_factor, fid)
+                     for _, c, bits in self.records()
+                     for anc, (prob, fid) in enumerate(c.readouts))
 
     def min_success_fidelity(self):
         """Worst fidelity over weighted ancilla-0 branches, None if there are none."""
-        fids = [b.fid for b in self.success_branches()]
-        return min(fids) if fids else None
+        return min((c.readouts[0][1] for c in self.classes.values()
+                    if c.readouts[0][0] > PROB_FLOOR), default=None)
 
 
 @dataclass(frozen=True)
@@ -163,80 +177,40 @@ def enumerate_branches(target: TargetState, channels: ChannelPair,
                        source="oracle", *, flip_report=None) -> RunReport:
     """Report every measurement record of the protocol exactly once.
 
-    Branches come out in lexicographic record order (sector bits, sender
-    readouts, controller bits, ancilla last).  flip_report=("C", k) makes
-    controller C_k report the opposite of what it measured; the physical
-    projection still uses the true bit, so only the receiver's key is
-    corrupted.  Raises ValueError before any work if n+m exceeds
-    MAX_CONTROLLERS, and RuntimeError if the leaf probabilities fail to sum
-    to 1, since every conclusion rests on that completeness.
-
-    Steps 1 to 5 run once per parity class (see the module docstring): each
-    controller beyond the representative C1/D1 rescales the class residual
-    by 1/sqrt(2).  Each record then takes its class's probabilities and
-    fidelities under the key of its reported parities, and tsp and the
-    completeness total are summed over records in record order.
+    flip_report=("C", k) makes controller C_k report the opposite of what it
+    measured; the physical projection still uses the true bit, so only the
+    receiver's key is corrupted.  Raises ValueError before any work if n+m
+    exceeds MAX_CONTROLLERS, and RuntimeError if the leaf probabilities fail
+    to sum to 1, since every conclusion rests on that completeness.
     """
     check_controller_count(channels)
     table = _resolve_table(source)
-    layers = table.entries
     flip = _validate_flip(flip_report, channels)
     n, m = channels.n, channels.m
     flip_g = int(flip is not None and flip[0] == "C")
     flip_h = int(flip is not None and flip[0] == "D")
     target_state = build_target(target)
-    rows = alice_basis(target)
-    psi = build_channels(replace(channels, n=min(n, 1), m=min(m, 1)))
     vmats = {(i, j): triplet_unitary(i, j, channels)
              for i in (0, 1) for j in (0, 1)}
-    meas_labels = ["A2", "A4"] + ["C1"] * min(n, 1) + ["D1"] * min(m, 1)
-    further = n + m - min(n, 1) - min(m, 1)
-    records = [(bits, parity(bits[:n]), parity(bits[n:]))
-               for bits in itertools.product((0, 1), repeat=n + m)]
+    classes = {}
+    for cls, (state, step1_prob) in class_residuals(target, channels).items():
+        i, j, p, q, g, h = cls
+        key = OutcomeKey(i, j, p, q, g ^ flip_g, h ^ flip_h)
+        staged = receiver_stage(state, table[key], vmats[i, j])
+        classes[cls] = ClassOutcome(key, step1_prob, tuple(
+            ancilla_readout(staged, anc, target_state) for anc in (0, 1)))
+    controllers = tuple((bits, (parity(bits[:n]), parity(bits[n:])))
+                        for bits in itertools.product((0, 1), repeat=n + m))
 
-    branches = []
+    report = RunReport(classes, controllers, ccc_count(n, m), table.provenance)
     total = 0.0
-    for i in (0, 1):
-        for j in (0, 1):
-            sector, step1_prob = sender_stage(psi, rows, i, j, target)
-            level = [((), sector)]
-            for lbl in meas_labels:
-                nxt = []
-                for bits, state in level:
-                    for out in (0, 1):
-                        residual, _ = project(state, (lbl,), PLUS_MINUS, out)
-                        nxt.append((bits + (out,), residual))
-                level = nxt
-            classes = {}
-            for bits, state in level:
-                p, q = bits[0], bits[1]
-                g = bits[2] if n else 0
-                h = bits[-1] if m else 0
-                for _ in range(further):
-                    state = StateVector(state.labels, state.amps * SQRT_HALF,
-                                        copy=False)
-                key = OutcomeKey(i, j, p, q, g ^ flip_g, h ^ flip_h)
-                staged = receiver_stage(state, layers[key], vmats[(i, j)])
-                readouts = [ancilla_readout(staged, anc, target_state) for anc in (0, 1)]
-                classes[p, q, g, h] = key, readouts
-            for p in (0, 1):
-                for q in (0, 1):
-                    for bits, g, h in records:
-                        key, readouts = classes[p, q, g, h]
-                        for anc, (prob, fid) in enumerate(readouts):
-                            branches.append(BranchOutcome(
-                                key=key, controller_bits=bits, ancilla=anc,
-                                probability=prob, norm_factor=step1_prob,
-                                fid=fid))
-                            total += prob
+    for _, c, _ in report.records():
+        for prob, _ in c.readouts:
+            total += prob
     if abs(total - 1.0) > _COMPLETENESS_TOL:
         raise RuntimeError(
             f"branch probabilities sum to {total!r}, not 1; enumeration is incomplete")
-    tsp = sum(b.probability for b in branches
-              if b.ancilla == 0 and b.fid >= SUCCESS_FIDELITY)
-    return RunReport(branches=tuple(branches), tsp=tsp,
-                     ccc=ccc_count(channels.n, channels.m),
-                     correction_source=table.provenance)
+    return report
 
 
 def monte_carlo(target: TargetState, channels: ChannelPair, source="oracle",
@@ -246,12 +220,17 @@ def monte_carlo(target: TargetState, channels: ChannelPair, source="oracle",
     The estimate must land within a few standard errors of RunReport.tsp;
     anything else means the probability bookkeeping is wrong, not the draw.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be positive, got {trials}")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be between 1 and the limit of "
+                         f"{MAX_TRIALS}, got {trials}")
     report = enumerate_branches(target, channels, source)
-    success = np.array([b.ancilla == 0 and b.fid >= SUCCESS_FIDELITY
-                        for b in report.branches], dtype=bool)
-    probs = np.array([b.probability for b in report.branches], dtype=float)
+    position = {cls: k for k, cls in enumerate(report.classes)}
+    rows = np.fromiter((position[cls] for cls, _, _ in report.records()),
+                       dtype=np.intp, count=16 * len(report.controllers))
+    # (record, ancilla, probability or fidelity), in record order.
+    readouts = np.array([c.readouts for c in report.classes.values()])[rows]
+    probs = readouts[:, :, 0].ravel()
+    success = ((readouts[:, :, 1] >= SUCCESS_FIDELITY) & (np.arange(2) == 0)).ravel()
     draws = np.random.default_rng(seed).choice(len(probs), size=trials,
                                                p=probs / probs.sum())
     successes = int(success[draws].sum())
@@ -262,28 +241,22 @@ def monte_carlo(target: TargetState, channels: ChannelPair, source="oracle",
                             exact=report.tsp)
 
 
-def write_branch_csv(report: RunReport, fh) -> None:
+def write_branch_csv(report: RunReport, fh) -> int:
     """Dump every branch: one row per measurement record and ancilla value.
 
-    The records of one parity class share their key, probability and
-    fidelity objects, and records with the same controller bits share one
-    tuple, so each piece is formatted once per distinct object.  The caches
-    are keyed on object identity, which is exact while the report keeps
-    every object alive.
+    Each class and each controller readout is formatted once.  Returns the
+    number of rows, 2^(n+m+5).
     """
     fh.write("ijpqgh,controller_bits,ancilla,probability,fidelity\n")
-    keys, controllers, tails = {}, {}, {}
-    for b in report.branches:
-        head = keys.get(id(b.key))
-        if head is None:
-            head = keys[id(b.key)] = b.key.bits() + ","
-        bits = controllers.get(id(b.controller_bits))
-        if bits is None:
-            bits = controllers[id(b.controller_bits)] = (
-                "".join(str(x) for x in b.controller_bits) + ",")
-        tail_id = (b.ancilla, id(b.probability), id(b.fid))
-        tail = tails.get(tail_id)
-        if tail is None:
-            tail = tails[tail_id] = (
-                f"{b.ancilla},{b.probability:.12g},{b.fid:.12g}\n")
-        fh.write(head + bits + tail)
+    texts = {}
+    for cls, c in report.classes.items():
+        (p0, f0), (p1, f1) = c.readouts
+        head = c.key.bits() + ","
+        texts[cls] = head, f",0,{p0:.12g},{f0:.12g}\n{head}", f",1,{p1:.12g},{f1:.12g}\n"
+    bits_text = {bits: "".join(str(x) for x in bits)
+                 for bits, _ in report.controllers}
+    for cls, _, bits in report.records():
+        head, mid, tail = texts[cls]
+        b = bits_text[bits]
+        fh.write(head + b + mid + b + tail)
+    return 32 * len(report.controllers)

@@ -33,6 +33,9 @@ __all__ = [
 _BOUND_TOL = 1e-12
 _ETA_TOL = 1e-12
 
+# Largest sweep grid; resolution^2 rows of about 96 bytes, 234 MiB at the limit.
+MAX_RESOLUTION = 1600
+
 
 @dataclass(frozen=True)
 class EfficiencyInputs:
@@ -144,8 +147,9 @@ def tsp_sweep(resolution: int) -> tuple:
 
     Returns (a1, b1, tsp) triples, row-major with a1 varying slowest.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be between 2 and the limit of "
+                         f"{MAX_RESOLUTION}, got {resolution}")
     axis = _axis(resolution)
     return tuple((a1, b1, tsp_formula(a1, b1)) for a1 in axis for b1 in axis)
 

@@ -1,11 +1,12 @@
 """Brute-force derivation and audit of the receiver's correction table.
 
-For each of the 64 outcome keys the oracle replays protocol steps 1 to 3 on a
-representative branch, then scans candidate Pauli layers until one lets the
-ancilla stage reproduce the target exactly.  The derivation never consults
-the published table, so comparing the two is an independent audit: keys where
-they disagree are reported together with whether the published layer would
-have worked anyway (corrections are not unique) or is simply wrong.
+One class walk with a controller per channel (protocol.class_residuals) gives
+each of the 64 outcome keys its residual after steps 1 to 3; the oracle then
+scans candidate Pauli layers until one lets the ancilla stage reproduce the
+target exactly.  The derivation never consults the published table, so
+comparing the two is an independent audit: keys where they disagree are
+reported together with whether the published layer would have worked anyway
+(corrections are not unique) or is simply wrong.
 """
 from __future__ import annotations
 
@@ -14,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .statevec import PLUS_MINUS, StateVector, project
+from .statevec import StateVector
 from .protocol import (
     LAYER_OPS,
     SUCCESS_FIDELITY,
@@ -23,15 +24,13 @@ from .protocol import (
     OutcomeKey,
     PauliLayer,
     TargetState,
-    alice_basis,
     all_outcome_keys,
     ancilla_readout,
-    build_channels,
     build_target,
+    class_residuals,
     default_derived_table,
     published_correction_table,
     receiver_stage,
-    sender_stage,
     triplet_unitary,
 )
 from .engine import enumerate_branches
@@ -49,7 +48,7 @@ __all__ = [
     "default_derived_table",
     "published_correction_table",
     "compare_with_published",
-    "layer_achieves_target",
+    "layers_achieve_target",
     "validate_table",
     "TargetValidation",
     "ValidationReport",
@@ -114,14 +113,11 @@ def _require_generic(target: TargetState, channels: ChannelPair) -> None:
                          "|a0| > |a1| and |b0| > |b1|")
 
 
-def _representative_branch(psi: StateVector, rows, key: OutcomeKey,
-                           target: TargetState) -> StateVector:
-    """Steps 1 to 3 on the branch whose readouts spell out key; psi carries a
-    single controller per channel, whose reported bit is the key's parity."""
-    state, _ = sender_stage(psi, rows, key.i, key.j, target)
-    for lbl, out in (("A2", key.p), ("A4", key.q), ("C1", key.g), ("D1", key.h)):
-        state, _ = project(state, (lbl,), PLUS_MINUS, out)
-    return state
+def _key_residuals(target: TargetState, channels: ChannelPair) -> dict:
+    """Steps 1 to 3 with one controller per channel, whose reported bit is
+    the key's parity: {key: residual} for all 64 keys."""
+    residuals = class_residuals(target, replace(channels, n=1, m=1))
+    return {OutcomeKey(*bits): state for bits, (state, _) in residuals.items()}
 
 
 def _restores_target(pre: StateVector, layer: PauliLayer, vmat,
@@ -141,11 +137,8 @@ def derive_correction_table(target: TargetState = GENERIC_TARGET,
     """
     _require_generic(target, channels)
     target_state = build_target(target)
-    psi = build_channels(replace(channels, n=1, m=1))
-    rows = alice_basis(target)
     entries = {}
-    for key in all_outcome_keys():
-        pre = _representative_branch(psi, rows, key, target)
+    for key, pre in _key_residuals(target, channels).items():
         vmat = triplet_unitary(key.i, key.j, channels)
         for layer in candidate_layers():
             if _restores_target(pre, layer, vmat, target_state):
@@ -157,14 +150,16 @@ def derive_correction_table(target: TargetState = GENERIC_TARGET,
     return CorrectionTable(entries, "derived")
 
 
-def layer_achieves_target(key: OutcomeKey, layer: PauliLayer,
-                          target: TargetState = GENERIC_TARGET,
-                          channels: ChannelPair = GENERIC_CHANNELS) -> bool:
-    """Replay steps 1 to 3 for one key and test whether layer restores the target."""
-    pre = _representative_branch(build_channels(replace(channels, n=1, m=1)),
-                                 alice_basis(target), key, target)
-    vmat = triplet_unitary(key.i, key.j, channels)
-    return _restores_target(pre, layer, vmat, build_target(target))
+def layers_achieve_target(layers, target: TargetState = GENERIC_TARGET,
+                          channels: ChannelPair = GENERIC_CHANNELS) -> dict:
+    """Replay layers, a mapping from outcome keys to Pauli layers, from one
+    class walk: {key: whether its layer restores the target}."""
+    residuals = _key_residuals(target, channels)
+    target_state = build_target(target)
+    return {key: _restores_target(residuals[key], layer,
+                                  triplet_unitary(key.i, key.j, channels),
+                                  target_state)
+            for key, layer in layers.items()}
 
 
 def compare_with_published(derived: CorrectionTable,
@@ -177,14 +172,11 @@ def compare_with_published(derived: CorrectionTable,
     """
     if published is None:
         published = published_correction_table()
-    entries = []
-    for key in all_outcome_keys():
-        d = derived[key]
-        p = published[key]
-        if d == p:
-            continue
-        entries.append(DiffEntry(key, p, d, layer_achieves_target(key, p)))
-    return TableDiff(tuple(entries))
+    disagreeing = {key: published[key] for key in all_outcome_keys()
+                   if derived[key] != published[key]}
+    works = layers_achieve_target(disagreeing)
+    return TableDiff(tuple(DiffEntry(key, p, derived[key], works[key])
+                           for key, p in disagreeing.items()))
 
 
 @dataclass(frozen=True)

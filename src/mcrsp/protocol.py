@@ -14,7 +14,7 @@ B1..B4 plus the ancilla B_A, and the controllers hold C1..Cn and D1..Dm.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from importlib import resources
 from types import MappingProxyType
@@ -24,6 +24,7 @@ import numpy as np
 from .statevec import (
     COMPUTATIONAL,
     KET0,
+    PLUS_MINUS,
     StateVector,
     apply,
     fidelity,
@@ -56,6 +57,7 @@ __all__ = [
     "triplet_unitary",
     "parity",
     "sender_stage",
+    "class_residuals",
     "receiver_stage",
     "ancilla_readout",
     "default_derived_table",
@@ -433,6 +435,40 @@ def sender_stage(psi: StateVector, rows: np.ndarray, i: int, j: int,
     phase correction on (A2, A4); returns the sector state and its probability."""
     sector, prob = project(psi, ("A1", "A3"), rows, 2 * i + j)
     return apply(sector, alice_correction(i, j, t), ("A2", "A4")), prob
+
+
+def class_residuals(t: TargetState, c: ChannelPair) -> dict:
+    """Steps 1 to 3 once per parity class: {(i, j, p, q, g, h): (residual,
+    step-1 probability)} in lexicographic order, g and h the physical parities.
+
+    Every record of a class leaves the same residual, since the receiver uses
+    controller bits only through their parity.  The walk projects A2, A4, C1
+    and D1 on a register with min(n, 1) and min(m, 1) controllers, then
+    rescales by 1/sqrt(2) per further controller.  That is bit-identical to
+    the full 2^(8+n+m) register: in a GHZ-class channel each controller
+    projection multiplies every surviving amplitude by +-1/sqrt(2) against an
+    exact-zero partner, and sign changes are exact.  The step-1 probability
+    is summed on the reduced register.
+    """
+    psi = build_channels(replace(c, n=min(c.n, 1), m=min(c.m, 1)))
+    rows = alice_basis(t)
+    labels = ("A2", "A4") + ("C1",) * min(c.n, 1) + ("D1",) * min(c.m, 1)
+    further = c.n + c.m - min(c.n, 1) - min(c.m, 1)
+    out = {}
+    for i in (0, 1):
+        for j in (0, 1):
+            sector, prob = sender_stage(psi, rows, i, j, t)
+            level = [((), sector)]
+            for lbl in labels:
+                level = [(bits + (b,), project(state, (lbl,), PLUS_MINUS, b)[0])
+                         for bits, state in level for b in (0, 1)]
+            for bits, state in level:
+                for _ in range(further):
+                    state = StateVector(state.labels, state.amps * SQRT_HALF, copy=False)
+                g = bits[2] if c.n else 0
+                h = bits[-1] if c.m else 0
+                out[(i, j) + bits[:2] + (g, h)] = state, prob
+    return out
 
 
 def receiver_stage(state: StateVector, layer: PauliLayer,

@@ -5,18 +5,14 @@ The walk projects every controller of every record on the dense 2^(8+n+m)
 register, exactly as the protocol describes, so it shares no shortcut with
 engine.enumerate_branches, which collapses the controllers into parity
 classes.  Meant for n+m <= 4; the register doubles with every controller.
-The writer formats every field of every row through csv.writer, with none
-of engine.write_branch_csv's caching.
+It keeps its own list of BranchOutcome records, one per record and
+ancilla value.  The writer formats every field of every row through
+csv.writer, with none of engine.write_branch_csv's sharing.
 """
 import csv
+from dataclasses import dataclass
 
-from mcrsp.engine import (
-    BranchOutcome,
-    RunReport,
-    _resolve_table,
-    _validate_flip,
-    ccc_count,
-)
+from mcrsp.engine import BranchOutcome, _resolve_table, _validate_flip
 from mcrsp.protocol import (
     SUCCESS_FIDELITY,
     OutcomeKey,
@@ -32,6 +28,12 @@ from mcrsp.protocol import (
 from mcrsp.statevec import PLUS_MINUS, project
 
 MAX_REFERENCE_CONTROLLERS = 4
+
+
+@dataclass(frozen=True)
+class ReferenceRun:
+    branches: tuple
+    tsp: float
 
 
 def reference_enumerate(target, channels, source="oracle", *, flip_report=None):
@@ -81,17 +83,15 @@ def reference_enumerate(target, channels, source="oracle", *, flip_report=None):
                         probability=prob, norm_factor=step1_prob, fid=fid))
     tsp = sum(b.probability for b in branches
               if b.ancilla == 0 and b.fid >= SUCCESS_FIDELITY)
-    return RunReport(branches=tuple(branches), tsp=tsp,
-                     ccc=ccc_count(channels.n, channels.m),
-                     correction_source=table.provenance)
+    return ReferenceRun(tuple(branches), tsp)
 
 
-def reference_csv(report, fh):
+def reference_csv(run, fh):
     """One csv.writer row per branch."""
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["ijpqgh", "controller_bits", "ancilla",
                      "probability", "fidelity"])
-    for b in report.branches:
+    for b in run.branches:
         writer.writerow([b.key.bits(),
                          "".join(str(x) for x in b.controller_bits),
                          b.ancilla,

@@ -30,9 +30,8 @@ def test_ccc_check_catches_a_missing_controller_bit(monkeypatch):
 
     def one_bit_short(*args, **kwargs):
         report = enumerate_branches(*args, **kwargs)
-        first = report.branches[0]
-        broken = replace(first, controller_bits=first.controller_bits[:-1])
-        return replace(report, branches=(broken,) + report.branches[1:])
+        (bits, parities), *rest = report.controllers
+        return replace(report, controllers=((bits[:-1], parities), *rest))
 
     monkeypatch.setattr(acceptance, "enumerate_branches", one_bit_short)
     passed, detail = acceptance.CRITERIA[5].func()

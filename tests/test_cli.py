@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 import mcrsp
-from mcrsp import cli, protocol
+from mcrsp import cli, engine, metrics, protocol
 from mcrsp.cli import RunConfig, main, parse_config_text
+from mcrsp.engine import MAX_TRIALS
+from mcrsp.metrics import MAX_RESOLUTION
 from mcrsp.oracle import default_derived_table
 
 
@@ -157,6 +159,16 @@ class TestEnumerate:
         assert "dense-register limit of 16" in capsys.readouterr().err
         assert existing.read_bytes() == before
 
+    def test_wide_run_builds_no_branch_objects(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a BranchOutcome")
+
+        monkeypatch.setattr(engine, "BranchOutcome", refuse)
+        config = write_config(tmp_path, "n_controllers = 3\nm_controllers = 3\n")
+        assert main(["enumerate", "--config", config]) == 0
+        assert "branches=2048" in capsys.readouterr().out
+        assert len((tmp_path / "branches.csv").read_text().splitlines()) == 2049
+
     def test_empty_channel_reports_no_fidelity(self, tmp_path, capsys):
         config = write_config(tmp_path, "a0 = 1\na1 = 0\n")
         assert main(["enumerate", "--config", config]) == 0
@@ -212,6 +224,15 @@ class TestMc:
         assert main(["mc", "--config", config]) == 2
         assert "standard errors" in capsys.readouterr().err
 
+    def test_trials_over_the_limit_exit_1(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled past the trial limit")
+
+        monkeypatch.setattr(engine, "enumerate_branches", refuse)
+        monkeypatch.setattr(np.random, "default_rng", refuse)
+        assert main(["mc", "--trials", str(MAX_TRIALS + 1)]) == 1
+        assert f"limit of {MAX_TRIALS}" in capsys.readouterr().err
+
 
 class TestTable:
     def test_derivation_and_audit(self, tmp_path, capsys):
@@ -238,6 +259,17 @@ class TestMetrics:
         assert len(comparison) == 9
         assert "Current scheme" in out
         assert "33.33%" in out
+
+    def test_resolution_over_the_limit_exits_1(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("swept past the resolution limit")
+
+        monkeypatch.setattr(metrics, "_axis", refuse)
+        monkeypatch.setattr(metrics, "tsp_formula", refuse)
+        argv = ["metrics", "--out", "m", "--resolution", str(MAX_RESOLUTION + 1)]
+        assert main(argv) == 1
+        assert f"limit of {MAX_RESOLUTION}" in capsys.readouterr().err
+        assert not (tmp_path / "m").exists()
 
 
 class TestVerify:

@@ -95,7 +95,10 @@ def test_branches_in_lexicographic_record_order(maximal_report):
 
 
 def test_success_branches_have_ancilla_zero(maximal_report):
-    for branch in maximal_report.success_branches():
+    weighted = [b for b in maximal_report.branches
+                if b.probability > protocol.PROB_FLOOR]
+    assert len(weighted) == 64
+    for branch in weighted:
         assert branch.ancilla == 0
         assert branch.probability == pytest.approx(1 / 64)
 
@@ -189,9 +192,45 @@ def test_monte_carlo_exact_at_maximal_channels():
     assert result.std_error == 0.0
 
 
-def test_monte_carlo_rejects_bad_trials():
+def test_monte_carlo_rejects_bad_trials(monkeypatch):
     with pytest.raises(ValueError, match="trials"):
         monte_carlo(CLUSTER_TARGET, MAXIMAL, trials=0)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sampled past the trial limit")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    with pytest.raises(ValueError, match=f"limit of {engine.MAX_TRIALS}"):
+        monte_carlo(CLUSTER_TARGET, MAXIMAL, trials=engine.MAX_TRIALS + 1)
+
+
+@pytest.mark.parametrize("target", [GENERIC_TARGET, TargetState(1.0, 0.0, 0.0, 0.0)],
+                         ids=["generic", "alpha-one"])
+def test_monte_carlo_draws_over_the_branches_in_record_order(target):
+    """The sampler's arrays are the branches' probabilities and success flags
+    in record order, so a seed gives the same draws as sampling the branches.
+    At alpha = 1 the ancilla-1 residual matches the target too, and must
+    still count as a failure."""
+    channels = ChannelPair(ROOTS[0], -ROOTS[1], ROOTS[2], ROOTS[3], 2, 1)
+    branches = enumerate_branches(target, channels).branches
+    probs = np.array([b.probability for b in branches])
+    success = np.array([b.ancilla == 0 and b.fid >= SUCCESS_FIDELITY
+                        for b in branches])
+    draws = np.random.default_rng(11).choice(len(probs), size=5000,
+                                             p=probs / probs.sum())
+    result = monte_carlo(target, channels, trials=5000, seed=11)
+    assert result.successes == int(success[draws].sum())
+
+
+def test_monte_carlo_builds_no_branch_objects(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a BranchOutcome")
+
+    monkeypatch.setattr(engine, "BranchOutcome", refuse)
+    result = monte_carlo(CLUSTER_TARGET, ChannelPair(*ROOTS, 3, 3),
+                         trials=20000, seed=5)
+    assert result.exact == pytest.approx(0.24)
+    assert abs(result.estimate - 0.24) <= 4.0 * math.sqrt(0.24 * 0.76 / 20000)
 
 
 def test_branch_csv_format(maximal_report):
@@ -265,7 +304,6 @@ def test_walk_cost_does_not_grow_with_the_controllers(monkeypatch):
         calls.append(state.amps.size)
         return project(state, *args, **kwargs)
 
-    monkeypatch.setattr(engine, "project", counted)
     monkeypatch.setattr(protocol, "project", counted)
     per_run = []
     for n, m in ((1, 1), (3, 2), (5, 5)):

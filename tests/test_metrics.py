@@ -7,6 +7,7 @@ import pytest
 from mcrsp.protocol import CLUSTER_TARGET, SQRT_HALF, ChannelPair
 from mcrsp.engine import enumerate_branches
 from mcrsp.metrics import (
+    MAX_RESOLUTION,
     EfficiencyInputs,
     SchemeRow,
     comparison_table,
@@ -146,6 +147,8 @@ class TestGrids:
     def test_sweep_rejects_degenerate_resolution(self):
         with pytest.raises(ValueError, match="resolution"):
             tsp_sweep(1)
+        with pytest.raises(ValueError, match=f"limit of {MAX_RESOLUTION}"):
+            tsp_sweep(MAX_RESOLUTION + 1)
 
     def test_entropy_curve_is_exactly_even(self):
         rows = entropy_curve(17)

@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from mcrsp import protocol
 from mcrsp.protocol import (
     LAYER_OPS,
     PAULI_OPS,
@@ -22,7 +23,7 @@ from mcrsp.oracle import (
     compare_with_published,
     default_derived_table,
     derive_correction_table,
-    layer_achieves_target,
+    layers_achieve_target,
     published_correction_table,
     validate_table,
 )
@@ -99,17 +100,18 @@ def test_comparison_finds_exactly_five_disagreements(derived):
 
 def test_published_layers_fail_on_corrupt_keys():
     table = published_correction_table()
-    for key in CORRUPT_KEYS:
-        assert not layer_achieves_target(key, table[key])
+    works = layers_achieve_target({key: table[key] for key in CORRUPT_KEYS})
+    assert works == dict.fromkeys(CORRUPT_KEYS, False)
 
 
 def test_agreeing_published_layers_replay(derived):
     table = published_correction_table()
     agreeing = [k for k in table.entries if k not in CORRUPT_KEYS]
     assert len(agreeing) == 59
+    works = layers_achieve_target({key: table[key] for key in agreeing[:8]})
     for key in agreeing[:8]:
         assert table[key] == derived[key]
-        assert layer_achieves_target(key, table[key])
+        assert works[key]
 
 
 def test_derivation_rejects_degenerate_target():
@@ -218,6 +220,33 @@ def test_derivation_never_reads_the_published_table(monkeypatch, derived):
                 and hasattr(module, "published_correction_table")):
             monkeypatch.setattr(module, "published_correction_table", forbidden)
     assert derive_correction_table().to_text() == default_derived_table().to_text()
+
+
+def _count_sender_stages(monkeypatch):
+    calls = []
+    sender_stage = protocol.sender_stage
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:4])
+        return sender_stage(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if ((name == "mcrsp" or name.startswith("mcrsp."))
+                and getattr(module, "sender_stage", None) is sender_stage):
+            monkeypatch.setattr(module, "sender_stage", counted)
+    return calls
+
+
+def test_derivation_walks_each_sector_once(monkeypatch, derived):
+    calls = _count_sender_stages(monkeypatch)
+    assert derive_correction_table().to_text() == derived.to_text()
+    assert calls == [(0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def test_audit_replays_from_one_walk(monkeypatch, derived):
+    calls = _count_sender_stages(monkeypatch)
+    assert set(compare_with_published(derived).keys()) == CORRUPT_KEYS
+    assert calls == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_diff_csv_format(derived):
