@@ -1,12 +1,21 @@
 """Brute-force derivation and audit of the receiver's correction table.
 
 One class walk with a controller per channel (protocol.class_residuals) gives
-each of the 64 outcome keys its residual after steps 1 to 3; the oracle then
-scans candidate Pauli layers until one lets the ancilla stage reproduce the
-target exactly.  The derivation never consults the published table, so
-comparing the two is an independent audit: keys where they disagree are
-reported together with whether the published layer would have worked anyway
-(corrections are not unique) or is simply wrong.
+each of the 64 outcome keys its residual on (B1, B2, B3, B4) after steps 1
+to 3.  Steps 4 and 5 are then scored for all 256 candidate Pauli layers at
+once.  A layer is a signed permutation of the 16 receiver amplitudes, and
+the ancilla-0 block of the triplet unitary is a diagonal weight w over the
+(B1, B3) bits, so the ancilla-0 residual of key k under layer l is
+w * sign * R_k[src] with no state to build.  Its overlap with the target and
+its squared norm are, for the 16 keys of a sender sector, two matrix
+products: conj(R) @ G and |R|^2 @ M, with G[src, l] = sign * w * t and
+M[src, l] = w^2 over the amplitude each source moves to.  The first
+candidate whose fidelity reaches SUCCESS_FIDELITY is the derived layer.
+
+The derivation never consults the published table, so comparing the two is
+an independent audit: keys where they disagree are reported together with
+whether the published layer would have worked anyway (corrections are not
+unique) or is simply wrong.
 """
 from __future__ import annotations
 
@@ -15,9 +24,11 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .statevec import StateVector
+import numpy as np
+
 from .protocol import (
     LAYER_OPS,
+    PROB_FLOOR,
     SUCCESS_FIDELITY,
     ChannelPair,
     CorrectionTable,
@@ -25,12 +36,10 @@ from .protocol import (
     PauliLayer,
     TargetState,
     all_outcome_keys,
-    ancilla_readout,
     build_target,
     class_residuals,
     default_derived_table,
     published_correction_table,
-    receiver_stage,
     triplet_unitary,
 )
 from .engine import enumerate_branches
@@ -111,42 +120,84 @@ def _require_generic(target: TargetState, channels: ChannelPair) -> None:
     if abs(channels.a0) <= abs(channels.a1) or abs(channels.b0) <= abs(channels.b1):
         raise ValueError("table derivation needs strict channel bounds "
                          "|a0| > |a1| and |b0| > |b1|")
+    if channels.a1 == 0.0 or channels.b1 == 0.0:
+        raise ValueError("table derivation needs a1 and b1 nonzero: an empty "
+                         "channel leaves no key a working layer")
 
 
-def _key_residuals(target: TargetState, channels: ChannelPair) -> dict:
-    """Steps 1 to 3 with one controller per channel, whose reported bit is
-    the key's parity: {key: residual} for all 64 keys."""
+@lru_cache(maxsize=1)
+def _layer_moves():
+    """How every candidate layer permutes the 16 amplitudes over (B1, B2, B3,
+    B4), B1 most significant: (dest, sign), two (16, 256) arrays indexed by
+    source amplitude and candidate position.
+
+    Read from the op names: X flips its qubit's bit and Z negates where that
+    bit is 1 after the flip ("XZ" is X, then Z).  X is its own inverse, so
+    the destination of a source is also the source of that destination.
+    """
+    flips = np.array([sum(8 >> q for q, op in enumerate(layer.ops) if "X" in op)
+                      for layer in candidate_layers()])
+    phases = np.array([sum(8 >> q for q, op in enumerate(layer.ops) if "Z" in op)
+                       for layer in candidate_layers()])
+    dest = np.arange(16)[:, None] ^ flips
+    negated = dest & phases
+    negated ^= negated >> 2
+    negated ^= negated >> 1
+    return dest, 1 - 2 * (negated & 1)
+
+
+@lru_cache(maxsize=1)
+def _candidate_index() -> dict:
+    return {layer: col for col, layer in enumerate(candidate_layers())}
+
+
+def _success_mask(target: TargetState, channels: ChannelPair) -> np.ndarray:
+    """Steps 4 and 5 for every key and candidate layer: a (64, 256) boolean
+    array, rows in all_outcome_keys() order and columns in candidate_layers()
+    order, True where the ancilla-0 residual reaches SUCCESS_FIDELITY.
+
+    Fidelity is 0.0 where the residual's squared norm is at or below
+    PROB_FLOOR, as in protocol.ancilla_readout.
+    """
     residuals = class_residuals(target, replace(channels, n=1, m=1))
-    return {OutcomeKey(*bits): state for bits, (state, _) in residuals.items()}
-
-
-def _restores_target(pre: StateVector, layer: PauliLayer, vmat,
-                     target_state: StateVector) -> bool:
-    """Steps 4 and 5: does layer leave the ancilla-0 residual on the target?"""
-    _, fid = ancilla_readout(receiver_stage(pre, layer, vmat), 0, target_state)
-    return fid >= SUCCESS_FIDELITY
+    # The classes come in ijpqgh order, so sector (i, j) is block 2i + j.
+    r = np.array([state.amps for state, _ in residuals.values()]).reshape(4, 16, 16)
+    t = build_target(target)
+    dest, sign = _layer_moves()
+    signed_target = sign * t.amps[dest]
+    amp = np.arange(16)
+    # position of each amplitude's (B1, B3) bit pair in the W block
+    pair = ((amp >> 2) & 2) | ((amp >> 1) & 1)
+    works = np.empty((4, 16, 256), dtype=bool)
+    for s, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+        # w[src, l]: the weight on the amplitude that layer l moves src to
+        w = triplet_unitary(i, j, channels)[:4, :4].diagonal().real[pair][dest]
+        overlap = r[s].conj() @ (w * signed_target)
+        norm2 = (r[s].real ** 2 + r[s].imag ** 2) @ (w * w)
+        fid = np.zeros(norm2.shape)
+        np.divide(overlap.real ** 2 + overlap.imag ** 2, norm2 * t.squared_norm,
+                  out=fid, where=norm2 > PROB_FLOOR)
+        works[s] = fid >= SUCCESS_FIDELITY
+    return works.reshape(64, 256)
 
 
 def derive_correction_table(target: TargetState = GENERIC_TARGET,
                             channels: ChannelPair = GENERIC_CHANNELS) -> CorrectionTable:
     """Derive all 64 correction layers by exhaustive search.
 
-    Ties are broken by candidate order, so the result is deterministic
-    bit for bit.  Raises if some key admits no working layer, which would
-    mean the protocol model itself is broken.
+    Each key gets the first working layer in candidate_layers() order, so
+    the result is deterministic bit for bit.  Raises if some key admits no
+    working layer, which would mean the protocol model itself is broken.
     """
     _require_generic(target, channels)
-    target_state = build_target(target)
+    works = _success_mask(target, channels)
+    layers = candidate_layers()
     entries = {}
-    for key, pre in _key_residuals(target, channels).items():
-        vmat = triplet_unitary(key.i, key.j, channels)
-        for layer in candidate_layers():
-            if _restores_target(pre, layer, vmat, target_state):
-                entries[key] = layer
-                break
-        else:
+    for key, row in zip(all_outcome_keys(), works):
+        if not row.any():
             raise RuntimeError(
                 f"no correction layer restores the target for key {key.bits()}")
+        entries[key] = layers[int(row.argmax())]
     return CorrectionTable(entries, "derived")
 
 
@@ -154,11 +205,9 @@ def layers_achieve_target(layers, target: TargetState = GENERIC_TARGET,
                           channels: ChannelPair = GENERIC_CHANNELS) -> dict:
     """Replay layers, a mapping from outcome keys to Pauli layers, from one
     class walk: {key: whether its layer restores the target}."""
-    residuals = _key_residuals(target, channels)
-    target_state = build_target(target)
-    return {key: _restores_target(residuals[key], layer,
-                                  triplet_unitary(key.i, key.j, channels),
-                                  target_state)
+    works = _success_mask(target, channels)
+    col = _candidate_index()
+    return {key: bool(works[int(key.bits(), 2), col[layer]])
             for key, layer in layers.items()}
 
 

@@ -236,13 +236,6 @@ class PauliLayer:
     def from_label(cls, s: str) -> "PauliLayer":
         return cls(tuple(s.split(",")))
 
-    def matrix(self) -> np.ndarray:
-        """Dense 16x16 matrix over (B1, B2, B3, B4), B1 most significant."""
-        out = PAULI_OPS[self.ops[0]]
-        for op in self.ops[1:]:
-            out = np.kron(out, PAULI_OPS[op])
-        return out
-
 
 def build_target(t: TargetState, labels=BOB_QUBITS) -> StateVector:
     """The target state as a four-qubit StateVector."""

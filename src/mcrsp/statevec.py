@@ -170,13 +170,32 @@ def apply(state: StateVector, op, targets) -> StateVector:
     return StateVector(state.labels, out.reshape(-1), copy=False)
 
 
+def _check_orthonormal(vecs: np.ndarray, tol: float) -> None:
+    gram = vecs.conj() @ vecs.T
+    if np.max(np.abs(gram - np.eye(vecs.shape[0]))) > tol:
+        raise ValueError(f"basis is not orthonormal within {tol:g}")
+
+
+# The module's own bases are checked once, here, at ORTHO_TOL, and their
+# vectors made read-only so that the check stays true: project skips them
+# unless asked for a tighter tol.  Bases that callers build are checked on
+# every call.
+_CHECKED_BASES = (COMPUTATIONAL, PLUS_MINUS)
+for _basis in _CHECKED_BASES:
+    for _vec in _basis:
+        _vec.setflags(write=False)
+    _check_orthonormal(np.asarray(_basis), ORTHO_TOL)
+del _basis, _vec
+
+
 def project(state: StateVector, targets, basis, outcome, *, tol: float = ORTHO_TOL):
     """Project the target qubits onto one vector of an orthonormal basis.
 
     Returns (residual, probability).  The residual lives on the remaining
     labels in their original order and is left unnormalized, so its squared
     norm equals the returned probability even when the input state was itself
-    an unnormalized residual.
+    an unnormalized residual.  A basis other than the module's COMPUTATIONAL
+    and PLUS_MINUS is checked for orthonormality on every call.
     """
     targets = tuple(targets)
     axes = _target_axes(state, targets)
@@ -188,9 +207,8 @@ def project(state: StateVector, targets, basis, outcome, *, tol: float = ORTHO_T
             f"basis must be a list of vectors of length {dim}, got shape {vecs.shape}")
     if not (0 <= outcome < vecs.shape[0]):
         raise ValueError(f"outcome {outcome} out of range for {vecs.shape[0]} basis vectors")
-    gram = vecs.conj() @ vecs.T
-    if np.max(np.abs(gram - np.eye(vecs.shape[0]))) > tol:
-        raise ValueError(f"basis is not orthonormal within {tol:g}")
+    if tol < ORTHO_TOL or not any(basis is b for b in _CHECKED_BASES):
+        _check_orthonormal(vecs, tol)
     k = state.num_qubits
     psi = state.amps.reshape((2,) * k)
     bra = vecs[outcome].conj().reshape((2,) * nt)

@@ -2,10 +2,14 @@
 import io
 import sys
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcrsp import protocol
+from mcrsp import oracle, protocol
 from mcrsp.protocol import (
     LAYER_OPS,
     PAULI_OPS,
@@ -14,6 +18,7 @@ from mcrsp.protocol import (
     OutcomeKey,
     PauliLayer,
     TargetState,
+    all_outcome_keys,
 )
 from mcrsp.oracle import (
     GENERIC_CHANNELS,
@@ -27,6 +32,7 @@ from mcrsp.oracle import (
     published_correction_table,
     validate_table,
 )
+from reference_oracle import dense_mask, dense_works, layer_matrix
 
 # The five keys where the shipped reference table disagrees with the oracle.
 CORRUPT_KEYS = {
@@ -126,6 +132,19 @@ def test_derivation_rejects_balanced_channels():
         derive_correction_table(GENERIC_TARGET, maximal)
 
 
+@pytest.mark.parametrize("channels", [
+    ChannelPair(1.0, 0.0, math.sqrt(0.8), math.sqrt(0.2)),
+    ChannelPair(math.sqrt(0.7), math.sqrt(0.3), 1.0, 0.0),
+], ids=["a1-zero", "b1-zero"])
+def test_derivation_rejects_an_empty_channel(monkeypatch, channels):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the derivation searched before refusing")
+
+    monkeypatch.setattr(oracle, "class_residuals", no_search)
+    with pytest.raises(ValueError, match="a1 and b1 nonzero"):
+        derive_correction_table(GENERIC_TARGET, channels)
+
+
 def test_validate_table_flags_a_corrupted_entry(derived):
     entries = dict(derived.entries)
     key = OutcomeKey.from_bits("000000")
@@ -169,7 +188,7 @@ def test_published_table_provenance():
 def test_candidate_layers_are_hilbert_schmidt_orthogonal():
     """tr(L_k^dagger L_l) = 16 delta_kl: no two different layers are equal up
     to a global phase, so the audit compares layers by their ops alone."""
-    mats = np.array([layer.matrix() for layer in candidate_layers()])
+    mats = np.array([layer_matrix(layer) for layer in candidate_layers()])
     gram = np.einsum("kab,lab->kl", mats.conj(), mats)
     assert np.allclose(gram, 16.0 * np.eye(256), atol=1e-12)
 
@@ -200,15 +219,16 @@ def test_layers_equal_mod_phase(derived):
     phase, so the audit's `derived[key] != published[key]` is exact."""
     a = PauliLayer(("X", "I", "Z", "I"))
     assert a == PauliLayer(("X", "I", "Z", "I"))
-    assert _equal_mod_phase(a.matrix(), PauliLayer(("X", "I", "Z", "I")).matrix())
+    assert _equal_mod_phase(layer_matrix(a),
+                            layer_matrix(PauliLayer(("X", "I", "Z", "I"))))
     b = PauliLayer(("X", "I", "I", "Z"))
     assert a != b
-    assert not _equal_mod_phase(a.matrix(), b.matrix())
+    assert not _equal_mod_phase(layer_matrix(a), layer_matrix(b))
     published = published_correction_table()
     for key in CORRUPT_KEYS:
         assert derived[key] != published[key]
-        assert not _equal_mod_phase(derived[key].matrix(),
-                                    published[key].matrix())
+        assert not _equal_mod_phase(layer_matrix(derived[key]),
+                                    layer_matrix(published[key]))
 
 
 def test_derivation_never_reads_the_published_table(monkeypatch, derived):
@@ -257,3 +277,96 @@ def test_diff_csv_format(derived):
     assert lines[0] == "key,paper,derived,paper_layer_works"
     assert len(lines) == 6
     assert lines[1] == '000111,"I,I,Z,I","Z,I,I,I",false'
+
+
+@pytest.fixture(scope="module")
+def generic_dense_mask():
+    return dense_mask(GENERIC_TARGET, GENERIC_CHANNELS)
+
+
+def test_kernel_mask_equals_the_dense_replay(generic_dense_mask):
+    kernel = oracle._success_mask(GENERIC_TARGET, GENERIC_CHANNELS)
+    assert kernel.shape == (64, 256)
+    assert np.array_equal(kernel, generic_dense_mask)
+    assert generic_dense_mask.any(axis=1).all()
+
+
+def _signed(magnitude):
+    return st.tuples(magnitude, st.sampled_from((1.0, -1.0))).map(
+        lambda pair: pair[0] * pair[1])
+
+
+_generic_targets = st.builds(
+    TargetState.normalized,
+    *[_signed(st.floats(0.1, 1.0)) for _ in range(4)],
+    *[st.floats(0.0, 2 * math.pi) for _ in range(3)])
+
+
+def _channel_pair(a0_sign, a1, b0_sign, b1):
+    return ChannelPair(a0_sign * math.sqrt(1 - a1 * a1), a1,
+                       b0_sign * math.sqrt(1 - b1 * b1), b1)
+
+
+_signs = st.sampled_from((1.0, -1.0))
+_generic_channels = st.builds(_channel_pair, _signs, _signed(st.floats(0.05, 0.69)),
+                              _signs, _signed(st.floats(0.05, 0.69)))
+
+
+@settings(max_examples=8, deadline=None)
+@given(target=_generic_targets, channels=_generic_channels,
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_kernel_agrees_with_the_dense_replay(target, channels, seed):
+    """Every layer the kernel accepts, plus 32 seeded (key, layer) pairs,
+    replayed densely; every derived layer works in the dense replay."""
+    kernel = oracle._success_mask(target, channels)
+    keys = all_outcome_keys()
+    layers = candidate_layers()
+    pairs = {(keys[r], layers[c]) for r, c in zip(*np.nonzero(kernel))}
+    rng = np.random.default_rng(seed)
+    pairs |= {(keys[r], layers[c]) for r, c in
+              zip(rng.integers(0, 64, 32), rng.integers(0, 256, 32))}
+    dense = dense_works(target, channels, pairs)
+    for (key, layer), works in dense.items():
+        assert kernel[keys.index(key), layers.index(layer)] == works, \
+            (key.bits(), layer.label())
+    derived = derive_correction_table(target, channels)
+    for key in keys:
+        assert dense[key, derived[key]]
+
+
+def test_derivation_makes_no_dense_replay(monkeypatch):
+    """Steps 4 and 5 run on the kernel: the only dense calls left are the
+    class walk's (one channel tensor product and the sender's phase
+    correction on A2, A4 in each of the four sectors)."""
+    calls = []
+    apply = protocol.apply
+    for fn in (apply, protocol.tensor, protocol.fidelity,
+               protocol.receiver_stage, protocol.ancilla_readout):
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append((_fn.__name__, args[2] if _fn is apply else None))
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if ((name == "mcrsp" or name.startswith("mcrsp."))
+                    and getattr(module, fn.__name__, None) is fn):
+                monkeypatch.setattr(module, fn.__name__, counted)
+    assert derive_correction_table().to_text() == default_derived_table().to_text()
+    assert sorted(calls) == [("apply", ("A2", "A4"))] * 4 + [("tensor", None)]
+
+
+def test_audit_reports_a_swapped_pair_of_rows(derived):
+    """A scratch table with two agreeing published rows swapped: the audit
+    marks both keys as misprints, next to the five known ones."""
+    published = published_correction_table()
+    agreeing = [k for k in all_outcome_keys() if k not in CORRUPT_KEYS]
+    first, second = next(
+        (a, b) for a in agreeing for b in agreeing
+        if a < b and published[a] != published[b]
+        and not any(dense_works(GENERIC_TARGET, GENERIC_CHANNELS,
+                                [(a, published[b]), (b, published[a])]).values()))
+    entries = dict(published.entries)
+    entries[first], entries[second] = published[second], published[first]
+    scratch = CorrectionTable(entries, "paper")
+    diff = compare_with_published(derived, scratch)
+    assert set(diff.keys()) == CORRUPT_KEYS | {first, second}
+    assert not any(e.paper_layer_works for e in diff.entries)

