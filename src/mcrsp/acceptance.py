@@ -192,8 +192,7 @@ def _check_ccc():
             report = enumerate_branches(CLUSTER_TARGET, maximal_channels(n, m))
             want = ccc_count(n, m)
             if (want != n + m + 4 or report.ccc != want
-                    or any(4 + len(bits) != want
-                           for bits, _ in report.controllers)):
+                    or 4 + report.controllers.shape[1] != want):
                 bad.append((n, m))
     return not bad, (f"message bits equal n+m+4 for all 16 controller counts"
                      if not bad else f"mismatched message bits at {bad}")

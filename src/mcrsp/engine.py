@@ -10,10 +10,14 @@ verifies before reporting anything.
 Success means the ancilla reads 0 and the receiver's residual matches the
 target.  The physics runs once per parity class (protocol.class_residuals).
 A RunReport keeps the at most 64 class outcomes and the 2^(n+m) controller
-readouts; records() joins them in record order, and tsp, the completeness
-total, the CSV, the Monte Carlo arrays and the branches view all read it.
-monte_carlo draws from the enumerated distribution rather than rerunning any
-physics, so it checks the bookkeeping.
+readouts as a uint8 array with the parity class 2g+h of each.  Record order
+is sector bits, sender readouts, controller bits, so every sector's records
+are the controller readouts in order; tsp, the completeness total, the CSV
+and the Monte Carlo arrays gather the class values through the parity-class
+vector with numpy, and no per-record Python object is built unless the
+branches view is asked for.  monte_carlo draws from the enumerated
+distribution rather than rerunning any physics, so it checks the
+bookkeeping.
 """
 from __future__ import annotations
 
@@ -36,7 +40,6 @@ from .protocol import (
     check_controller_count,
     class_residuals,
     default_derived_table,
-    parity,
     published_correction_table,
     receiver_stage,
     triplet_unitary,
@@ -88,38 +91,69 @@ class ClassOutcome:
     readouts: tuple
 
 
+def _slot(cls) -> tuple:
+    """(sector 8i+4j+2p+q, parity class 2g+h) of a physical class."""
+    i, j, p, q, g, h = cls
+    return 8 * i + 4 * j + 2 * p + q, 2 * g + h
+
+
 @dataclass(frozen=True, eq=False)
 class RunReport:
-    """Everything one exact enumeration produces: classes maps the physical
-    (i, j, p, q, g, h) to its ClassOutcome, and controllers holds (bits,
-    (g, h)) for every controller readout, in record order."""
+    """Everything one exact enumeration produces.
+
+    classes maps the physical (i, j, p, q, g, h) to its ClassOutcome.
+    controllers holds every controller readout as one row of a
+    (2^(n+m), n+m) uint8 array, in record order, and parity_class holds the
+    physical 2g+h of each row.
+    """
 
     classes: dict
-    controllers: tuple
+    controllers: np.ndarray
+    parity_class: np.ndarray
     ccc: int
     correction_source: str
 
-    def records(self):
-        """(physical class, its ClassOutcome, controller bits) of every record,
-        in record order: sector bits, sender readouts, controller bits."""
-        for sector in itertools.product((0, 1), repeat=4):
-            for bits, parities in self.controllers:
-                cls = sector + parities
-                yield cls, self.classes[cls], bits
+    @cached_property
+    def readout_table(self) -> np.ndarray:
+        """(probability, fid) of every class and ancilla value, as a (16, 4,
+        2, 2) array indexed by sector 8i+4j+2p+q, 2g+h and ancilla; a class
+        that no controller readout reaches stays 0."""
+        table = np.zeros((16, 4, 2, 2))
+        for cls, c in self.classes.items():
+            table[_slot(cls)] = c.readouts
+        return table
 
     @cached_property
     def tsp(self) -> float:
-        """Summed weight of the ancilla-0 records that reach the target."""
-        return sum(c.readouts[0][0] for _, c, _ in self.records()
-                   if c.readouts[0][1] >= SUCCESS_FIDELITY)
+        """Summed weight of the ancilla-0 records that reach the target.
+
+        The weights are added left to right in record order, one sector at
+        a time, as a running sum would; np.sum adds pairwise and would round
+        differently.  A record that fails adds 0.0, which leaves the sum
+        unchanged.
+        """
+        readout = self.readout_table[:, :, 0]
+        weights = np.where(readout[..., 1] >= SUCCESS_FIDELITY, readout[..., 0], 0.0)
+        total = 0.0
+        for sector in weights:
+            seq = sector[self.parity_class]
+            seq[0] += total
+            total = float(np.add.accumulate(seq, out=seq)[-1])
+        return total
 
     @property
     def branches(self) -> tuple:
         """One BranchOutcome per record and ancilla value, in record order;
         built on every access, 2^(n+m+5) of them."""
-        return tuple(BranchOutcome(c.key, bits, anc, prob, c.norm_factor, fid)
-                     for _, c, bits in self.records()
-                     for anc, (prob, fid) in enumerate(c.readouts))
+        bits = [tuple(row) for row in self.controllers.tolist()]
+        parities = [divmod(k, 2) for k in self.parity_class.tolist()]
+        out = []
+        for sector in itertools.product((0, 1), repeat=4):
+            for b, gh in zip(bits, parities):
+                c = self.classes[sector + gh]
+                out.extend(BranchOutcome(c.key, b, anc, prob, c.norm_factor, fid)
+                           for anc, (prob, fid) in enumerate(c.readouts))
+        return tuple(out)
 
     def min_success_fidelity(self):
         """Worst fidelity over weighted ancilla-0 branches, None if there are none."""
@@ -199,14 +233,17 @@ def enumerate_branches(target: TargetState, channels: ChannelPair,
         staged = receiver_stage(state, table[key], vmats[i, j])
         classes[cls] = ClassOutcome(key, step1_prob, tuple(
             ancilla_readout(staged, anc, target_state) for anc in (0, 1)))
-    controllers = tuple((bits, (parity(bits[:n]), parity(bits[n:])))
-                        for bits in itertools.product((0, 1), repeat=n + m))
-
-    report = RunReport(classes, controllers, ccc_count(n, m), table.provenance)
-    total = 0.0
-    for _, c, _ in report.records():
-        for prob, _ in c.readouts:
-            total += prob
+    width = n + m
+    codes = np.arange(2 ** width, dtype=np.uint32)[:, None]
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)
+    controllers = ((codes >> shifts) & 1).astype(np.uint8)
+    parity_class = (2 * np.bitwise_xor.reduce(controllers[:, :n], axis=1)
+                    + np.bitwise_xor.reduce(controllers[:, n:], axis=1))
+    report = RunReport(classes, controllers, parity_class, ccc_count(n, m),
+                       table.provenance)
+    # Each class occurs once per sector and controller readout of its parity.
+    multiplicity = np.bincount(report.parity_class, minlength=4)
+    total = float(np.sum(report.readout_table[..., 0].sum(axis=-1) * multiplicity))
     if abs(total - 1.0) > _COMPLETENESS_TOL:
         raise RuntimeError(
             f"branch probabilities sum to {total!r}, not 1; enumeration is incomplete")
@@ -224,13 +261,11 @@ def monte_carlo(target: TargetState, channels: ChannelPair, source="oracle",
         raise ValueError(f"trials must be between 1 and the limit of "
                          f"{MAX_TRIALS}, got {trials}")
     report = enumerate_branches(target, channels, source)
-    position = {cls: k for k, cls in enumerate(report.classes)}
-    rows = np.fromiter((position[cls] for cls, _, _ in report.records()),
-                       dtype=np.intp, count=16 * len(report.controllers))
-    # (record, ancilla, probability or fidelity), in record order.
-    readouts = np.array([c.readouts for c in report.classes.values()])[rows]
-    probs = readouts[:, :, 0].ravel()
-    success = ((readouts[:, :, 1] >= SUCCESS_FIDELITY) & (np.arange(2) == 0)).ravel()
+    table = report.readout_table
+    # (sector, controller readout, ancilla) flattened: record order.
+    probs = table[..., 0][:, report.parity_class].ravel()
+    success = ((table[..., 1] >= SUCCESS_FIDELITY)
+               & (np.arange(2) == 0))[:, report.parity_class].ravel()
     draws = np.random.default_rng(seed).choice(len(probs), size=trials,
                                                p=probs / probs.sum())
     successes = int(success[draws].sum())
@@ -244,19 +279,32 @@ def monte_carlo(target: TargetState, channels: ChannelPair, source="oracle",
 def write_branch_csv(report: RunReport, fh) -> int:
     """Dump every branch: one row per measurement record and ancilla value.
 
-    Each class and each controller readout is formatted once.  Returns the
-    number of rows, 2^(n+m+5).
+    Each class and each controller readout is formatted once; a sector's
+    rows are joined from those pieces through the parity-class vector and
+    written with one call.  Returns the number of rows, 2^(n+m+5).
     """
     fh.write("ijpqgh,controller_bits,ancilla,probability,fidelity\n")
-    texts = {}
+    # (head, middle, tail) of each class's two rows; the controller bits go
+    # between head and middle and between middle and tail.
+    texts = np.empty((16, 4, 3), dtype=object)
     for cls, c in report.classes.items():
         (p0, f0), (p1, f1) = c.readouts
         head = c.key.bits() + ","
-        texts[cls] = head, f",0,{p0:.12g},{f0:.12g}\n{head}", f",1,{p1:.12g},{f1:.12g}\n"
-    bits_text = {bits: "".join(str(x) for x in bits)
-                 for bits, _ in report.controllers}
-    for cls, _, bits in report.records():
-        head, mid, tail = texts[cls]
-        b = bits_text[bits]
-        fh.write(head + b + mid + b + tail)
-    return 32 * len(report.controllers)
+        texts[_slot(cls)] = (
+            head, f",0,{p0:.12g},{f0:.12g}\n{head}", f",1,{p1:.12g},{f1:.12g}\n")
+    count = len(report.controllers)
+    pieces = np.empty(5 * count, dtype=object)
+    pieces[1::5] = pieces[3::5] = _bit_text(report.controllers)
+    for sector in texts:
+        pieces[0::5], pieces[2::5], pieces[4::5] = sector[report.parity_class].T
+        fh.write("".join(pieces.tolist()))
+    return 32 * count
+
+
+def _bit_text(bits: np.ndarray) -> np.ndarray:
+    """Each row of a 0/1 uint8 array as a string of '0' and '1' characters,
+    in an object array."""
+    rows, width = bits.shape
+    if not width:
+        return np.full(rows, "", dtype=object)
+    return (bits + ord("0")).view(f"S{width}").ravel().astype(f"U{width}").astype(object)

@@ -176,6 +176,19 @@ class TestEnumerate:
         assert "tsp=0.000000000000" in out
         assert "min_success_fidelity=none" in out
 
+    @pytest.mark.parametrize("text", ["a0 = 1\na1 = 0\n", "b0 = 1\nb1 = 0\n"],
+                             ids=["a1-zero", "b1-zero"])
+    def test_empty_channel_enumerates_and_samples_zero(self, tmp_path, capsys, text):
+        config = write_config(tmp_path, text)
+        assert main(["enumerate", "--config", config]) == 0
+        assert capsys.readouterr().out == (
+            "wrote branches.csv\nbranches=128\nccc=6\ntsp=0.000000000000\n"
+            "min_success_fidelity=none\n")
+        assert main(["mc", "--config", config, "--trials", "1000"]) == 0
+        assert capsys.readouterr().out == (
+            "trials=1000\nseed=42\ntsp_estimate=0.000000000000\n"
+            "std_error=0.000000000000\n")
+
 
 class TestMc:
     def test_exact_at_defaults(self, capsys):

@@ -22,6 +22,12 @@ from mcrsp.engine import (
     monte_carlo,
     write_branch_csv,
 )
+from reference_records import (
+    reference_branch_csv,
+    reference_successes,
+    reference_total,
+    reference_tsp,
+)
 from reference_walk import reference_csv, reference_enumerate
 
 MAXIMAL = ChannelPair(SQRT_HALF, SQRT_HALF, SQRT_HALF, SQRT_HALF, 1, 1)
@@ -71,6 +77,18 @@ def test_empty_channel_has_no_success_branch():
     report = enumerate_branches(GENERIC_TARGET, channels)
     assert report.tsp == 0.0
     assert report.min_success_fidelity() is None
+
+
+@pytest.mark.parametrize("coeffs", [(1.0, 0.0, ROOTS[2], ROOTS[3]),
+                                    (ROOTS[0], ROOTS[1], 1.0, 0.0)],
+                         ids=["a1-zero", "b1-zero"])
+def test_no_success_gives_a_float_zero(coeffs):
+    channels = ChannelPair(*coeffs, 1, 2)
+    report = enumerate_branches(GENERIC_TARGET, channels)
+    assert isinstance(report.tsp, float) and report.tsp == 0.0
+    result = monte_carlo(GENERIC_TARGET, channels, trials=100, seed=1)
+    assert isinstance(result.exact, float) and result.exact == 0.0
+    assert result.successes == 0
 
 
 def test_cluster_target_sector_probabilities():
@@ -249,14 +267,19 @@ _AMPLITUDE = st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.floats(-1.0, -0.05
 _PHASE = st.floats(0.0, 2.0 * math.pi)
 
 
+_SMALL = st.tuples(st.integers(0, 2), st.integers(0, 2))
+_WIDE = st.tuples(st.integers(0, 8), st.integers(0, 8)).filter(lambda nm: sum(nm) <= 8)
+
+
 @st.composite
-def _runs(draw):
-    """A target, channels with n, m in 0..2 and a table source and report,
-    reaching signed coefficients, a1=0 or b1=0 and zero target amplitudes."""
+def _runs(draw, counts=_SMALL):
+    """A target, channels with (n, m) drawn from counts and a table source
+    and report, reaching signed coefficients, a1=0 or b1=0 and zero target
+    amplitudes."""
     amps = draw(st.lists(_AMPLITUDE, min_size=4, max_size=4)
                 .filter(lambda xs: any(xs)))
     target = TargetState.normalized(*amps, *draw(st.tuples(_PHASE, _PHASE, _PHASE)))
-    n, m = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    n, m = draw(counts)
     coeffs = []
     for _ in range(2):
         small = math.sqrt(draw(st.one_of(st.just(0.0), st.floats(0.0, 0.45))))
@@ -292,6 +315,66 @@ def test_branch_csv_bytes_match_the_reference(flip):
     reference_csv(reference_enumerate(GENERIC_TARGET, channels, flip_report=flip), want)
     # Compared as lines, so a failure names the first differing row quickly.
     assert got.getvalue().splitlines(True) == want.getvalue().splitlines(True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_runs(_WIDE), st.integers(0, 2 ** 32 - 1))
+def test_vectorized_record_order_equals_the_record_walk(run, seed):
+    """tsp, the CSV bytes and the seeded Monte Carlo draws equal those of a
+    record-by-record walk, up to n+m = 8."""
+    target, channels, source, flip = run
+    n, m = channels.n, channels.m
+    report = enumerate_branches(target, channels, source, flip_report=flip)
+    assert isinstance(report.tsp, float)
+    assert report.tsp == reference_tsp(report, n, m)
+    assert abs(reference_total(report, n, m) - 1.0) <= 1e-9
+    got, want = io.StringIO(), io.StringIO()
+    write_branch_csv(report, got)
+    reference_branch_csv(report, n, m, want)
+    assert got.getvalue() == want.getvalue()
+
+    unflipped = enumerate_branches(target, channels, source)
+    result = monte_carlo(target, channels, source, trials=2000, seed=seed)
+    assert result.successes == reference_successes(unflipped, n, m, 2000, seed)
+    assert result.exact == unflipped.tsp
+
+
+class _CountingSink:
+    """A text sink that keeps only the number of writes and characters."""
+
+    def __init__(self):
+        self.writes = self.chars = 0
+
+    def write(self, text):
+        self.writes += 1
+        self.chars += len(text)
+
+    def tell(self):
+        return self.chars
+
+
+def test_wide_run_does_no_per_record_python_work(monkeypatch):
+    """At n = m = 8 (2^21 rows) the run computes no parity in Python,
+    builds no BranchOutcome, and writes the CSV in one call per sector."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("computed a parity in Python")
+
+    built = []
+    branch_outcome = engine.BranchOutcome
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return branch_outcome(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "parity", refuse, raising=False)
+    monkeypatch.setattr(protocol, "parity", refuse)
+    monkeypatch.setattr(engine, "BranchOutcome", counted)
+    report = enumerate_branches(GENERIC_TARGET, ChannelPair(*ROOTS, 8, 8))
+    assert report.tsp == pytest.approx(0.24)
+    sink = _CountingSink()
+    assert write_branch_csv(report, sink) == 2 ** 21
+    assert sink.writes == 1 + 16
+    assert not built
 
 
 def test_walk_cost_does_not_grow_with_the_controllers(monkeypatch):
