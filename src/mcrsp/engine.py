@@ -8,7 +8,9 @@ probability of its record and the leaves must sum to 1, which the enumerator
 verifies before reporting anything.
 
 Success means the ancilla reads 0 and the receiver's residual matches the
-target.  The physics runs once per parity class (protocol.class_residuals).
+target.  The physics runs once per parity class: steps 1 to 3 on dense
+states (protocol.class_residuals), steps 4 and 5 as the signed permutation
+and triplet weights of protocol.receiver_readouts.
 A RunReport keeps the at most 64 class outcomes and the 2^(n+m) controller
 readouts as a uint8 array with the parity class 2g+h of each.  Record order
 is sector bits, sender readouts, controller bits, so every sector's records
@@ -35,14 +37,13 @@ from .protocol import (
     CorrectionTable,
     OutcomeKey,
     TargetState,
-    ancilla_readout,
     build_target,
     check_controller_count,
     class_residuals,
     default_derived_table,
     published_correction_table,
-    receiver_stage,
-    triplet_unitary,
+    receiver_readouts,
+    triplet_weights,
 )
 
 __all__ = [
@@ -224,15 +225,14 @@ def enumerate_branches(target: TargetState, channels: ChannelPair,
     flip_g = int(flip is not None and flip[0] == "C")
     flip_h = int(flip is not None and flip[0] == "D")
     target_state = build_target(target)
-    vmats = {(i, j): triplet_unitary(i, j, channels)
-             for i in (0, 1) for j in (0, 1)}
+    weights = {(i, j): triplet_weights(i, j, channels)
+               for i in (0, 1) for j in (0, 1)}
     classes = {}
     for cls, (state, step1_prob) in class_residuals(target, channels).items():
         i, j, p, q, g, h = cls
         key = OutcomeKey(i, j, p, q, g ^ flip_g, h ^ flip_h)
-        staged = receiver_stage(state, table[key], vmats[i, j])
-        classes[cls] = ClassOutcome(key, step1_prob, tuple(
-            ancilla_readout(staged, anc, target_state) for anc in (0, 1)))
+        classes[cls] = ClassOutcome(key, step1_prob, receiver_readouts(
+            state, table[key], weights[i, j], target_state))
     width = n + m
     codes = np.arange(2 ** width, dtype=np.uint32)[:, None]
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)

@@ -3,11 +3,12 @@
 One class walk with a controller per channel (protocol.class_residuals) gives
 each of the 64 outcome keys its residual on (B1, B2, B3, B4) after steps 1
 to 3.  Steps 4 and 5 are then scored for all 256 candidate Pauli layers at
-once.  A layer is a signed permutation of the 16 receiver amplitudes, and
-the ancilla-0 block of the triplet unitary is a diagonal weight w over the
-(B1, B3) bits, so the ancilla-0 residual of key k under layer l is
-w * sign * R_k[src] with no state to build.  Its overlap with the target and
-its squared norm are, for the 16 keys of a sender sector, two matrix
+once, on the enumerator's model of them: a layer is a signed permutation of
+the 16 receiver amplitudes (PauliLayer.moves), and the ancilla-0 readout
+weights each amplitude by a diagonal entry of the triplet unitary's W block
+(protocol.triplet_weights), so the ancilla-0 residual of key k under layer l
+is w * sign * R_k[src] with no state to build.  Its overlap with the target
+and its squared norm are, for the 16 keys of a sender sector, two matrix
 products: conj(R) @ G and |R|^2 @ M, with G[src, l] = sign * w * t and
 M[src, l] = w^2 over the amplitude each source moves to.  The first
 candidate whose fidelity reaches SUCCESS_FIDELITY is the derived layer.
@@ -40,7 +41,7 @@ from .protocol import (
     class_residuals,
     default_derived_table,
     published_correction_table,
-    triplet_unitary,
+    triplet_weights,
 )
 from .engine import enumerate_branches
 from .metrics import tsp_formula
@@ -127,23 +128,10 @@ def _require_generic(target: TargetState, channels: ChannelPair) -> None:
 
 @lru_cache(maxsize=1)
 def _layer_moves():
-    """How every candidate layer permutes the 16 amplitudes over (B1, B2, B3,
-    B4), B1 most significant: (dest, sign), two (16, 256) arrays indexed by
-    source amplitude and candidate position.
-
-    Read from the op names: X flips its qubit's bit and Z negates where that
-    bit is 1 after the flip ("XZ" is X, then Z).  X is its own inverse, so
-    the destination of a source is also the source of that destination.
-    """
-    flips = np.array([sum(8 >> q for q, op in enumerate(layer.ops) if "X" in op)
-                      for layer in candidate_layers()])
-    phases = np.array([sum(8 >> q for q, op in enumerate(layer.ops) if "Z" in op)
-                       for layer in candidate_layers()])
-    dest = np.arange(16)[:, None] ^ flips
-    negated = dest & phases
-    negated ^= negated >> 2
-    negated ^= negated >> 1
-    return dest, 1 - 2 * (negated & 1)
+    """PauliLayer.moves() of every candidate layer, stacked: (dest, sign),
+    two (16, 256) arrays indexed by source amplitude and candidate position."""
+    moves = [layer.moves() for layer in candidate_layers()]
+    return tuple(np.stack(arrays, axis=1) for arrays in zip(*moves))
 
 
 @lru_cache(maxsize=1)
@@ -157,7 +145,7 @@ def _success_mask(target: TargetState, channels: ChannelPair) -> np.ndarray:
     order, True where the ancilla-0 residual reaches SUCCESS_FIDELITY.
 
     Fidelity is 0.0 where the residual's squared norm is at or below
-    PROB_FLOOR, as in protocol.ancilla_readout.
+    PROB_FLOOR, as in protocol.receiver_readouts.
     """
     residuals = class_residuals(target, replace(channels, n=1, m=1))
     # The classes come in ijpqgh order, so sector (i, j) is block 2i + j.
@@ -165,13 +153,10 @@ def _success_mask(target: TargetState, channels: ChannelPair) -> np.ndarray:
     t = build_target(target)
     dest, sign = _layer_moves()
     signed_target = sign * t.amps[dest]
-    amp = np.arange(16)
-    # position of each amplitude's (B1, B3) bit pair in the W block
-    pair = ((amp >> 2) & 2) | ((amp >> 1) & 1)
     works = np.empty((4, 16, 256), dtype=bool)
     for s, (i, j) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         # w[src, l]: the weight on the amplitude that layer l moves src to
-        w = triplet_unitary(i, j, channels)[:4, :4].diagonal().real[pair][dest]
+        w = triplet_weights(i, j, channels)[0][dest]
         overlap = r[s].conj() @ (w * signed_target)
         norm2 = (r[s].real ** 2 + r[s].imag ** 2) @ (w * w)
         fid = np.zeros(norm2.shape)

@@ -7,6 +7,12 @@ receiver's Pauli-correction vocabulary and correction tables, and the
 ancilla-coupled triplet unitaries.  Its stage functions are the one copy of
 the steps that both the branch enumerator and the correction oracle run.
 
+Steps 1 to 3 run on dense state vectors.  Steps 4 and 5 need none: a Pauli
+layer is a signed permutation of the 16 receiver amplitudes, and the triplet
+unitary with its ancilla in |0> weights each amplitude by one diagonal entry
+of W or U.  Each dense operator there puts one nonzero product against exact
+zeros, so the moved and weighted amplitudes equal a dense replay bit for bit.
+
 Conventions: amplitudes are real and channel coefficients satisfy
 |a0| >= |a1| and |b0| >= |b1|; the sender holds A1..A4, the receiver holds
 B1..B4 plus the ancilla B_A, and the controllers hold C1..Cn and D1..Dm.
@@ -22,8 +28,6 @@ from types import MappingProxyType
 import numpy as np
 
 from .statevec import (
-    COMPUTATIONAL,
-    KET0,
     PLUS_MINUS,
     StateVector,
     apply,
@@ -38,10 +42,8 @@ __all__ = [
     "SUCCESS_FIDELITY",
     "PROB_FLOOR",
     "MAX_CONTROLLERS",
-    "PAULI_OPS",
     "LAYER_OPS",
     "BOB_QUBITS",
-    "ANCILLA",
     "TargetState",
     "ChannelPair",
     "OutcomeKey",
@@ -55,11 +57,10 @@ __all__ = [
     "alice_basis",
     "alice_correction",
     "triplet_unitary",
-    "parity",
+    "triplet_weights",
     "sender_stage",
     "class_residuals",
-    "receiver_stage",
-    "ancilla_readout",
+    "receiver_readouts",
     "default_derived_table",
     "published_correction_table",
 ]
@@ -81,19 +82,9 @@ PROB_FLOOR = 1e-250
 MAX_CONTROLLERS = 16
 
 BOB_QUBITS = ("B1", "B2", "B3", "B4")
-ANCILLA = "B_A"
-
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 # "XZ" means apply X first and then Z; the opposite order differs only by a
 # global phase, which no fidelity in this package can see.
-PAULI_OPS = {
-    "I": np.eye(2, dtype=complex),
-    "X": _X,
-    "Z": _Z,
-    "XZ": _Z @ _X,
-}
 LAYER_OPS = ("I", "X", "Z", "XZ")
 
 
@@ -236,6 +227,19 @@ class PauliLayer:
     def from_label(cls, s: str) -> "PauliLayer":
         return cls(tuple(s.split(",")))
 
+    def moves(self) -> tuple:
+        """The layer as a signed permutation of the 16 amplitudes over
+        BOB_QUBITS, B1 most significant: (dest, sign), int arrays indexed by
+        source amplitude.  X flips its qubit's bit and Z negates where that
+        bit is 1 after the flip ("XZ" is X, then Z)."""
+        flips = sum(8 >> q for q, op in enumerate(self.ops) if "X" in op)
+        phases = sum(8 >> q for q, op in enumerate(self.ops) if "Z" in op)
+        dest = np.arange(16) ^ flips
+        negated = dest & phases
+        negated ^= negated >> 2
+        negated ^= negated >> 1
+        return dest, 1 - 2 * (negated & 1)
+
 
 def build_target(t: TargetState, labels=BOB_QUBITS) -> StateVector:
     """The target state as a four-qubit StateVector."""
@@ -344,14 +348,15 @@ def triplet_unitary(i: int, j: int, c: ChannelPair) -> np.ndarray:
     return out
 
 
-def parity(bits) -> int:
-    """XOR of a bit sequence; empty input gives 0."""
-    acc = 0
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"parity input must be 0/1 bits, got {b!r}")
-        acc ^= b
-    return acc
+def triplet_weights(i: int, j: int, c: ChannelPair) -> np.ndarray:
+    """Steps 4b and 5 on the 16 amplitudes over BOB_QUBITS: a (2, 16) real
+    array whose row a weights each amplitude when the ancilla, brought in as
+    |0>, is read as a.  Row 0 is the diagonal of triplet_unitary's W block
+    and row 1 that of its U block, each at the amplitude's (B1, B3) bits."""
+    v = triplet_unitary(i, j, c)
+    amp = np.arange(16)
+    pair = ((amp >> 2) & 2) | ((amp >> 1) & 1)
+    return np.array([v[:4, :4].diagonal(), v[4:, :4].diagonal()]).real[:, pair]
 
 
 @dataclass(frozen=True)
@@ -419,9 +424,6 @@ def published_correction_table() -> CorrectionTable:
     return _shipped_table("published_corrections.txt", "paper")
 
 
-_ANCILLA_START = StateVector((ANCILLA,), KET0)
-
-
 def sender_stage(psi: StateVector, rows: np.ndarray, i: int, j: int,
                  t: TargetState):
     """Steps 1 and 2a: project (A1, A3) onto row 2i+j of rows, then apply the
@@ -464,20 +466,18 @@ def class_residuals(t: TargetState, c: ChannelPair) -> dict:
     return out
 
 
-def receiver_stage(state: StateVector, layer: PauliLayer,
-                   vmat: np.ndarray) -> StateVector:
-    """Step 4: apply the key's Pauli layer, then bring in the ancilla B_A in
-    |0> and apply the triplet unitary vmat on (B_A, B1, B3)."""
-    for lbl, op in zip(BOB_QUBITS, layer.ops):
-        if op != "I":
-            state = apply(state, PAULI_OPS[op], (lbl,))
-    return apply(tensor(state, _ANCILLA_START), vmat, (ANCILLA, "B1", "B3"))
-
-
-def ancilla_readout(staged: StateVector, ancilla: int, target_state: StateVector):
-    """Step 5: read the ancilla out as `ancilla`; returns the probability of
-    that readout and the fidelity of the receiver's residual with
-    target_state (0.0 at or below PROB_FLOOR)."""
-    residual, prob = project(staged, (ANCILLA,), COMPUTATIONAL, ancilla)
-    fid = fidelity(residual, target_state) if prob > PROB_FLOOR else 0.0
-    return prob, fid
+def receiver_readouts(residual: StateVector, layer: PauliLayer,
+                      weights: np.ndarray, target_state: StateVector) -> tuple:
+    """Steps 4 and 5 for one residual over BOB_QUBITS: move its amplitudes
+    through layer.moves(), then weight them by each row of weights (from
+    triplet_weights).  Returns (probability, fidelity with target_state) per
+    ancilla readout; the fidelity is 0.0 at or below PROB_FLOOR."""
+    dest, sign = layer.moves()
+    moved = np.zeros(16, dtype=complex)
+    moved[dest] = sign * residual.amps
+    out = []
+    for row in weights:
+        state = StateVector(BOB_QUBITS, moved * row, copy=False)
+        prob = state.squared_norm
+        out.append((prob, fidelity(state, target_state) if prob > PROB_FLOOR else 0.0))
+    return tuple(out)

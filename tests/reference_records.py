@@ -3,7 +3,7 @@ as a test-only reference for the enumerator's vectorized record order.
 
 A run's records are every sector (i, j, p, q) crossed with every controller
 readout, in that order; each record takes the outcome of its parity class.
-This module walks them one at a time with Python tuples and parity(), and
+This module walks them one at a time with Python tuples and sums mod 2, and
 computes from that walk the success probability (a left-to-right running
 sum), the completeness total, the branch CSV and the Monte Carlo draws, the
 way engine did before it gathered them with numpy.  It reads only
@@ -14,13 +14,13 @@ import itertools
 
 import numpy as np
 
-from mcrsp.protocol import SUCCESS_FIDELITY, parity
+from mcrsp.protocol import SUCCESS_FIDELITY
 
 
 def records(report, n, m):
     """(physical class, its ClassOutcome, controller bits) of every record,
     in record order: sector bits, sender readouts, controller bits."""
-    controllers = [(bits, (parity(bits[:n]), parity(bits[n:])))
+    controllers = [(bits, (sum(bits[:n]) % 2, sum(bits[n:]) % 2))
                    for bits in itertools.product((0, 1), repeat=n + m)]
     for sector in itertools.product((0, 1), repeat=4):
         for bits, parities in controllers:

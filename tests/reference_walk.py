@@ -2,9 +2,11 @@
 test-only references.
 
 The walk projects every controller of every record on the dense 2^(8+n+m)
-register, exactly as the protocol describes, so it shares no shortcut with
+register and replays steps 4 and 5 densely (reference_oracle), exactly as
+the protocol describes, so it shares no shortcut with
 engine.enumerate_branches, which collapses the controllers into parity
-classes.  Meant for n+m <= 4; the register doubles with every controller.
+classes and moves amplitudes instead of applying operators.  Meant for
+n+m <= 4; the register doubles with every controller.
 It keeps its own list of BranchOutcome records, one per record and
 ancilla value.  The writer formats every field of every row through
 csv.writer, with none of engine.write_branch_csv's sharing.
@@ -17,15 +19,13 @@ from mcrsp.protocol import (
     SUCCESS_FIDELITY,
     OutcomeKey,
     alice_basis,
-    ancilla_readout,
     build_channels,
     build_target,
-    parity,
-    receiver_stage,
     sender_stage,
     triplet_unitary,
 )
 from mcrsp.statevec import PLUS_MINUS, project
+from reference_oracle import ancilla_readout, receiver_stage
 
 MAX_REFERENCE_CONTROLLERS = 4
 
@@ -73,8 +73,8 @@ def reference_enumerate(target, channels, source="oracle", *, flip_report=None):
                     pos = idx - 1 if group == "C" else channels.n + idx - 1
                     reported[pos] = 1 - reported[pos]
                 key = OutcomeKey(i, j, p, q,
-                                 parity(reported[:channels.n]),
-                                 parity(reported[channels.n:]))
+                                 sum(reported[:channels.n]) % 2,
+                                 sum(reported[channels.n:]) % 2)
                 staged = receiver_stage(state, layers[key], vmats[(i, j)])
                 for anc in (0, 1):
                     prob, fid = ancilla_readout(staged, anc, target_state)

@@ -36,3 +36,12 @@ def test_ccc_check_catches_a_missing_controller_bit(monkeypatch):
     passed, detail = acceptance.CRITERIA[5].func()
     assert not passed
     assert detail.startswith("mismatched message bits at [(0, 1),")
+
+
+def test_printed_sums_add_left_to_right():
+    """Criteria 3 and 4 print deviations of sums, so they add left to right
+    on every Python; from 3.12 sum() compensates and gives 1 + 2**-52 here."""
+    values = [1.0, 2.0 ** -53, 2.0 ** -53]
+    assert acceptance._running_sum(values) == 1.0
+    assert acceptance._running_sum(iter(values)) == 1.0
+    assert acceptance._running_sum([]) == 0.0

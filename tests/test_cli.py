@@ -288,9 +288,11 @@ class TestMetrics:
 class TestVerify:
     def test_acceptance_suite_passes(self, capsys):
         assert main(["verify"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        passes = [line for line in lines if line.startswith("PASS")]
+        out = capsys.readouterr().out
+        passes = [line for line in out.splitlines() if line.startswith("PASS")]
         assert len(passes) == 11
+        # The printed deviations are pinned byte for byte.
+        assert out == (Path(__file__).parent / "verify_stdout.txt").read_text()
 
 
 class TestArgumentErrors:

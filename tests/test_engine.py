@@ -1,13 +1,14 @@
 """Tests for the exact branch enumerator and its Monte Carlo sampler."""
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcrsp import engine, protocol
+from mcrsp import engine, protocol, statevec
 from mcrsp.protocol import (
     CLUSTER_TARGET,
     SQRT_HALF,
@@ -15,6 +16,8 @@ from mcrsp.protocol import (
     ChannelPair,
     TargetState,
     all_outcome_keys,
+    build_target,
+    class_residuals,
 )
 from mcrsp.engine import (
     ccc_count,
@@ -28,6 +31,7 @@ from reference_records import (
     reference_total,
     reference_tsp,
 )
+from reference_oracle import dense_readouts
 from reference_walk import reference_csv, reference_enumerate
 
 MAXIMAL = ChannelPair(SQRT_HALF, SQRT_HALF, SQRT_HALF, SQRT_HALF, 1, 1)
@@ -367,7 +371,6 @@ def test_wide_run_does_no_per_record_python_work(monkeypatch):
         return branch_outcome(*args, **kwargs)
 
     monkeypatch.setattr(engine, "parity", refuse, raising=False)
-    monkeypatch.setattr(protocol, "parity", refuse)
     monkeypatch.setattr(engine, "BranchOutcome", counted)
     report = enumerate_branches(GENERIC_TARGET, ChannelPair(*ROOTS, 8, 8))
     assert report.tsp == pytest.approx(0.24)
@@ -395,7 +398,47 @@ def test_walk_cost_does_not_grow_with_the_controllers(monkeypatch):
         report = enumerate_branches(GENERIC_TARGET, channels)
         assert len(report.branches) == 2 ** (n + m + 5)
         per_run.append((len(calls), max(calls)))
-    assert per_run == [(252, 2 ** 10)] * 3
+    assert per_run == [(124, 2 ** 10)] * 3
+
+
+@settings(max_examples=40, deadline=None)
+@given(_runs(_WIDE))
+def test_receiver_readouts_equal_the_dense_replay(run):
+    """Steps 4 and 5 as moved and weighted amplitudes give every class the
+    (probability, fidelity) pairs of the dense replay of its residual under
+    its reported key's layer, bit for bit, up to n+m = 8."""
+    target, channels, source, flip = run
+    report = enumerate_branches(target, channels, source, flip_report=flip)
+    table = engine._resolve_table(source)
+    target_state = build_target(target)
+    residuals = class_residuals(target, channels)
+    assert list(residuals) == list(report.classes)
+    for cls, (state, _) in residuals.items():
+        c = report.classes[cls]
+        assert c.readouts == dense_readouts(state, table[c.key], cls[0], cls[1],
+                                            channels, target_state)
+
+
+def test_enumeration_makes_only_the_class_walks_dense_calls(monkeypatch):
+    """Steps 4 and 5 apply no operator and build no product state: whatever
+    n and m are, the only apply and tensor calls are the class walk's, the
+    sender's phase correction on (A2, A4) in each of the four sectors and one
+    channel product."""
+    calls = []
+    apply = statevec.apply
+    for fn in (apply, statevec.tensor):
+        def counted(*args, _fn=fn, **kwargs):
+            calls.append((_fn.__name__, args[2] if _fn is apply else None))
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if ((name == "mcrsp" or name.startswith("mcrsp."))
+                    and getattr(module, fn.__name__, None) is fn):
+                monkeypatch.setattr(module, fn.__name__, counted)
+    for n, m in ((0, 0), (1, 1), (0, 3), (3, 2), (5, 5)):
+        calls.clear()
+        enumerate_branches(GENERIC_TARGET, ChannelPair(*ROOTS, n, m))
+        assert sorted(calls) == [("apply", ("A2", "A4"))] * 4 + [("tensor", None)]
 
 
 def test_size_guard_refuses_before_any_work(monkeypatch):

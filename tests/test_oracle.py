@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from mcrsp import oracle, protocol
 from mcrsp.protocol import (
     LAYER_OPS,
-    PAULI_OPS,
     SQRT_HALF,
     ChannelPair,
     OutcomeKey,
@@ -32,7 +31,8 @@ from mcrsp.oracle import (
     published_correction_table,
     validate_table,
 )
-from reference_oracle import dense_mask, dense_works, layer_matrix
+from mcrsp.engine import enumerate_branches
+from reference_oracle import PAULI_OPS, dense_mask, dense_works, layer_matrix
 
 # The five keys where the shipped reference table disagrees with the oracle.
 CORRUPT_KEYS = {
@@ -337,11 +337,12 @@ def test_kernel_agrees_with_the_dense_replay(target, channels, seed):
 def test_derivation_makes_no_dense_replay(monkeypatch):
     """Steps 4 and 5 run on the kernel: the only dense calls left are the
     class walk's (one channel tensor product and the sender's phase
-    correction on A2, A4 in each of the four sectors)."""
+    correction on A2, A4 in each of the four sectors); no residual goes
+    through the enumerator's per-class receiver_readouts."""
     calls = []
     apply = protocol.apply
     for fn in (apply, protocol.tensor, protocol.fidelity,
-               protocol.receiver_stage, protocol.ancilla_readout):
+               protocol.receiver_readouts):
         def counted(*args, _fn=fn, **kwargs):
             calls.append((_fn.__name__, args[2] if _fn is apply else None))
             return _fn(*args, **kwargs)
@@ -352,6 +353,38 @@ def test_derivation_makes_no_dense_replay(monkeypatch):
                 monkeypatch.setattr(module, fn.__name__, counted)
     assert derive_correction_table().to_text() == default_derived_table().to_text()
     assert sorted(calls) == [("apply", ("A2", "A4"))] * 4 + [("tensor", None)]
+
+
+def test_enumerator_and_oracle_share_one_model_of_steps_4_and_5(monkeypatch):
+    """Both take a layer's (dest, sign) from PauliLayer.moves and the
+    triplet weights from protocol.triplet_weights: the oracle for its 256
+    candidates, the enumerator for the layer of each of its 64 classes."""
+    seen = []
+    moves = PauliLayer.moves
+    triplet_weights = protocol.triplet_weights
+
+    def counted_moves(layer):
+        seen.append("moves")
+        return moves(layer)
+
+    def counted_weights(*args, **kwargs):
+        seen.append("weights")
+        return triplet_weights(*args, **kwargs)
+
+    monkeypatch.setattr(PauliLayer, "moves", counted_moves)
+    for name, module in list(sys.modules.items()):
+        if ((name == "mcrsp" or name.startswith("mcrsp."))
+                and getattr(module, "triplet_weights", None) is triplet_weights):
+            monkeypatch.setattr(module, "triplet_weights", counted_weights)
+    oracle._layer_moves.cache_clear()
+    try:
+        assert derive_correction_table().to_text() == default_derived_table().to_text()
+        assert (seen.count("moves"), seen.count("weights")) == (256, 4)
+        seen.clear()
+        enumerate_branches(GENERIC_TARGET, GENERIC_CHANNELS)
+        assert (seen.count("moves"), seen.count("weights")) == (64, 4)
+    finally:
+        oracle._layer_moves.cache_clear()
 
 
 def test_audit_reports_a_swapped_pair_of_rows(derived):

@@ -1,4 +1,5 @@
 """Unit tests for the protocol objects: targets, channels, bases, unitaries."""
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from mcrsp import protocol
 from mcrsp.statevec import is_unitary
 from mcrsp.protocol import (
     CLUSTER_TARGET,
+    LAYER_OPS,
     SQRT_HALF,
     ChannelPair,
     OutcomeKey,
@@ -21,9 +23,9 @@ from mcrsp.protocol import (
     build_channels,
     build_target,
     default_derived_table,
-    parity,
     published_correction_table,
     triplet_unitary,
+    triplet_weights,
 )
 from reference_oracle import layer_matrix
 
@@ -119,6 +121,16 @@ class TestPauliLayer:
         assert is_unitary(mat)
         # X on B1 maps |0000> to |1000>: column 0 feeds row 8
         assert mat[8, 0] == 1.0
+
+    def test_moves_are_the_dense_layer_matrix(self):
+        """For all 256 layers, sign[s] sits at row dest[s] of column s of the
+        dense matrix, and every other entry is 0."""
+        for ops in itertools.product(LAYER_OPS, repeat=4):
+            layer = PauliLayer(ops)
+            dest, sign = layer.moves()
+            moved = np.zeros((16, 16))
+            moved[dest, np.arange(16)] = sign
+            assert np.array_equal(moved, layer_matrix(layer)), layer.label()
 
 
 class TestBuildTarget:
@@ -245,18 +257,24 @@ class TestTripletUnitary:
                 for j in (0, 1):
                     assert is_unitary(triplet_unitary(i, j, c), 1e-12)
 
-
-class TestParity:
-    @given(st.lists(st.integers(min_value=0, max_value=1), max_size=12))
-    def test_matches_sum_mod_two(self, bits):
-        assert parity(bits) == sum(bits) % 2
-
-    def test_empty_is_zero(self):
-        assert parity(()) == 0
-
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            parity((0, 2))
+    @given(st.floats(0.0, 0.5), st.floats(0.0, 0.5),
+           st.sampled_from((1.0, -1.0)), st.sampled_from((1.0, -1.0)))
+    def test_weights_are_the_ancilla_zero_columns(self, ua, ub, sa, sb):
+        """Row a of triplet_weights holds, for each receiver amplitude, the
+        one entry that the unitary's column for (ancilla 0, B1, B3) has on
+        ancilla a."""
+        c = ChannelPair(sa * math.sqrt(1 - ua), math.sqrt(ua),
+                        math.sqrt(1 - ub), sb * math.sqrt(ub))
+        for i in (0, 1):
+            for j in (0, 1):
+                mat = triplet_unitary(i, j, c)
+                weights = triplet_weights(i, j, c)
+                assert weights.shape == (2, 16)
+                for amp in range(16):
+                    col = 2 * (amp >> 3) + ((amp >> 1) & 1)
+                    assert np.count_nonzero(mat[:, col]) <= 2
+                    assert weights[0, amp] == mat[col, col]
+                    assert weights[1, amp] == mat[4 + col, col]
 
 
 class TestPublishedTable:
