@@ -8,9 +8,10 @@ probability of its record and the leaves must sum to 1, which the enumerator
 verifies before reporting anything.
 
 Success means the ancilla reads 0 and the receiver's residual matches the
-target.  The physics runs once per parity class: steps 1 to 3 on dense
-states (protocol.class_residuals), steps 4 and 5 as the signed permutation
-and triplet weights of protocol.receiver_readouts.
+target.  The physics runs once per parity class: steps 1 to 3 give one
+array of class residuals (protocol.class_residuals), and steps 4 and 5 read
+its rows through the signed permutation and triplet weights of
+protocol.receiver_readouts.
 A RunReport keeps the at most 64 class outcomes and the 2^(n+m) controller
 readouts as a uint8 array with the parity class 2g+h of each.  Record order
 is sector bits, sender readouts, controller bits, so every sector's records
@@ -224,15 +225,16 @@ def enumerate_branches(target: TargetState, channels: ChannelPair,
     n, m = channels.n, channels.m
     flip_g = int(flip is not None and flip[0] == "C")
     flip_h = int(flip is not None and flip[0] == "D")
-    target_state = build_target(target)
+    target_amps = build_target(target).amps
     weights = {(i, j): triplet_weights(i, j, channels)
                for i in (0, 1) for j in (0, 1)}
+    walk, residuals, step1 = class_residuals(target, channels)
     classes = {}
-    for cls, (state, step1_prob) in class_residuals(target, channels).items():
+    for cls, residual in zip(walk, residuals):
         i, j, p, q, g, h = cls
         key = OutcomeKey(i, j, p, q, g ^ flip_g, h ^ flip_h)
-        classes[cls] = ClassOutcome(key, step1_prob, receiver_readouts(
-            state, table[key], weights[i, j], target_state))
+        classes[cls] = ClassOutcome(key, step1[2 * i + j], receiver_readouts(
+            residual, table[key], weights[i, j], target_amps))
     width = n + m
     codes = np.arange(2 ** width, dtype=np.uint32)[:, None]
     shifts = np.arange(width - 1, -1, -1, dtype=np.uint32)

@@ -142,14 +142,18 @@ def _axis(resolution: int) -> list:
     return [k / (resolution - 1) * SQRT_HALF for k in range(resolution)]
 
 
+def _check_resolution(resolution: int) -> None:
+    if not 2 <= resolution <= MAX_RESOLUTION:
+        raise ValueError(f"resolution must be between 2 and the limit of "
+                         f"{MAX_RESOLUTION}, got {resolution}")
+
+
 def tsp_sweep(resolution: int) -> tuple:
     """Success probability on a uniform grid over [0, 1/sqrt(2)]^2.
 
     Returns (a1, b1, tsp) triples, row-major with a1 varying slowest.
     """
-    if not 2 <= resolution <= MAX_RESOLUTION:
-        raise ValueError(f"resolution must be between 2 and the limit of "
-                         f"{MAX_RESOLUTION}, got {resolution}")
+    _check_resolution(resolution)
     axis = _axis(resolution)
     return tuple((a1, b1, tsp_formula(a1, b1)) for a1 in axis for b1 in axis)
 
@@ -160,8 +164,7 @@ def entropy_curve(resolution: int) -> tuple:
     Grid points are built from integer offsets around the midpoint, so f and
     -f are exact negations and the curve's evenness holds bit for bit.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    _check_resolution(resolution)
     span = resolution - 1
     grid = [(2 * k - span) / span * SQRT_HALF for k in range(resolution)]
     return tuple((f, shannon_entropy(f)) for f in grid)

@@ -2,9 +2,10 @@
 
 One class walk with a controller per channel (protocol.class_residuals) gives
 each of the 64 outcome keys its residual on (B1, B2, B3, B4) after steps 1
-to 3.  Steps 4 and 5 are then scored for all 256 candidate Pauli layers at
-once, on the enumerator's model of them: a layer is a signed permutation of
-the 16 receiver amplitudes (PauliLayer.moves), and the ancilla-0 readout
+to 3, as one row of a (64, 16) array.  Steps 4 and 5 are then scored for
+all 256 candidate Pauli layers at once, on the enumerator's model of them:
+a layer is a signed permutation of the 16 receiver amplitudes
+(PauliLayer.moves, through protocol.layer_moves), and the ancilla-0 readout
 weights each amplitude by a diagonal entry of the triplet unitary's W block
 (protocol.triplet_weights), so the ancilla-0 residual of key k under layer l
 is w * sign * R_k[src] with no state to build.  Its overlap with the target
@@ -40,6 +41,7 @@ from .protocol import (
     build_target,
     class_residuals,
     default_derived_table,
+    layer_moves,
     published_correction_table,
     triplet_weights,
 )
@@ -130,7 +132,7 @@ def _require_generic(target: TargetState, channels: ChannelPair) -> None:
 def _layer_moves():
     """PauliLayer.moves() of every candidate layer, stacked: (dest, sign),
     two (16, 256) arrays indexed by source amplitude and candidate position."""
-    moves = [layer.moves() for layer in candidate_layers()]
+    moves = [layer_moves(layer) for layer in candidate_layers()]
     return tuple(np.stack(arrays, axis=1) for arrays in zip(*moves))
 
 
@@ -147,9 +149,9 @@ def _success_mask(target: TargetState, channels: ChannelPair) -> np.ndarray:
     Fidelity is 0.0 where the residual's squared norm is at or below
     PROB_FLOOR, as in protocol.receiver_readouts.
     """
-    residuals = class_residuals(target, replace(channels, n=1, m=1))
+    _, residuals, _ = class_residuals(target, replace(channels, n=1, m=1))
     # The classes come in ijpqgh order, so sector (i, j) is block 2i + j.
-    r = np.array([state.amps for state, _ in residuals.values()]).reshape(4, 16, 16)
+    r = residuals.reshape(4, 16, 16)
     t = build_target(target)
     dest, sign = _layer_moves()
     signed_target = sign * t.amps[dest]

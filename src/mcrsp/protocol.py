@@ -7,11 +7,15 @@ receiver's Pauli-correction vocabulary and correction tables, and the
 ancilla-coupled triplet unitaries.  Its stage functions are the one copy of
 the steps that both the branch enumerator and the correction oracle run.
 
-Steps 1 to 3 run on dense state vectors.  Steps 4 and 5 need none: a Pauli
-layer is a signed permutation of the 16 receiver amplitudes, and the triplet
-unitary with its ancilla in |0> weights each amplitude by one diagonal entry
-of W or U.  Each dense operator there puts one nonzero product against exact
-zeros, so the moved and weighted amplitudes equal a dense replay bit for bit.
+The sender's projection and phase correction (sender_stage) run on dense
+state vectors, once per sector.  The rest of steps 1 to 3 needs no
+StateVector: class_residuals stacks the four sector states into one array
+and measures A2, A4 and the controllers on it as whole-array contractions.
+Steps 4 and 5 need none either: a Pauli layer is a signed permutation of the
+16 receiver amplitudes, and the triplet unitary with its ancilla in |0>
+weights each amplitude by one diagonal entry of W or U.  Each of these
+operators puts one nonzero product against exact zeros, so the contracted,
+moved and weighted amplitudes equal a dense single-qubit replay bit for bit.
 
 Conventions: amplitudes are real and channel coefficients satisfy
 |a0| >= |a1| and |b0| >= |b1|; the sender holds A1..A4, the receiver holds
@@ -19,6 +23,7 @@ B1..B4 plus the ancilla B_A, and the controllers hold C1..Cn and D1..Dm.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
@@ -30,9 +35,10 @@ import numpy as np
 from .statevec import (
     PLUS_MINUS,
     StateVector,
+    amps_fidelity,
     apply,
-    fidelity,
     project,
+    squared_norm,
     tensor,
 )
 
@@ -60,6 +66,7 @@ __all__ = [
     "triplet_weights",
     "sender_stage",
     "class_residuals",
+    "layer_moves",
     "receiver_readouts",
     "default_derived_table",
     "published_correction_table",
@@ -432,52 +439,72 @@ def sender_stage(psi: StateVector, rows: np.ndarray, i: int, j: int,
     return apply(sector, alice_correction(i, j, t), ("A2", "A4")), prob
 
 
-def class_residuals(t: TargetState, c: ChannelPair) -> dict:
-    """Steps 1 to 3 once per parity class: {(i, j, p, q, g, h): (residual,
-    step-1 probability)} in lexicographic order, g and h the physical parities.
+def class_residuals(t: TargetState, c: ChannelPair) -> tuple:
+    """Steps 1 to 3 once per parity class: (classes, residuals, step1).
+
+    classes holds the physical (i, j, p, q, g, h) in lexicographic order, g
+    and h the parities; row k of the (len(classes), 16) array residuals is
+    class k's unnormalized residual over BOB_QUBITS; step1[2i + j] is the
+    step-1 probability of sector (i, j).
 
     Every record of a class leaves the same residual, since the receiver uses
-    controller bits only through their parity.  The walk projects A2, A4, C1
-    and D1 on a register with min(n, 1) and min(m, 1) controllers, then
-    rescales by 1/sqrt(2) per further controller.  That is bit-identical to
-    the full 2^(8+n+m) register: in a GHZ-class channel each controller
-    projection multiplies every surviving amplitude by +-1/sqrt(2) against an
-    exact-zero partner, and sign changes are exact.  The step-1 probability
-    is summed on the reduced register.
+    controller bits only through their parity.  The four sector states live
+    on a register with min(n, 1) and min(m, 1) controllers, stacked into one
+    array; A2, A4, C1 and D1 are then measured in turn, both outcomes of each
+    at once, and the array is rescaled by 1/sqrt(2) per further controller.
+    That is bit-identical to a projection of every controller on the full
+    2^(8+n+m) register: in a GHZ-class channel each X-basis readout
+    multiplies every surviving amplitude by +-1/sqrt(2) against an
+    exact-zero partner, and sign changes are exact.
     """
-    psi = build_channels(replace(c, n=min(c.n, 1), m=min(c.m, 1)))
+    n1, m1 = min(c.n, 1), min(c.m, 1)
+    psi = build_channels(replace(c, n=n1, m=m1))
     rows = alice_basis(t)
-    labels = ("A2", "A4") + ("C1",) * min(c.n, 1) + ("D1",) * min(c.m, 1)
-    further = c.n + c.m - min(c.n, 1) - min(c.m, 1)
-    out = {}
-    for i in (0, 1):
-        for j in (0, 1):
-            sector, prob = sender_stage(psi, rows, i, j, t)
-            level = [((), sector)]
-            for lbl in labels:
-                level = [(bits + (b,), project(state, (lbl,), PLUS_MINUS, b)[0])
-                         for bits, state in level for b in (0, 1)]
-            for bits, state in level:
-                for _ in range(further):
-                    state = StateVector(state.labels, state.amps * SQRT_HALF, copy=False)
-                g = bits[2] if c.n else 0
-                h = bits[-1] if c.m else 0
-                out[(i, j) + bits[:2] + (g, h)] = state, prob
-    return out
+    measured = ("A2", "A4") + ("C1",) * n1 + ("D1",) * m1
+    sectors = [sender_stage(psi, rows, i, j, t) for i in (0, 1) for j in (0, 1)]
+    labels = sectors[0][0].labels
+    axes = [1 + labels.index(lbl) for lbl in measured + BOB_QUBITS]
+    amps = np.stack([state.amps for state, _ in sectors])
+    amps = amps.reshape((4,) + (2,) * len(labels)).transpose([0] + axes)
+    bras = np.conj(PLUS_MINUS)  # bras[outcome, bit]
+    for _ in measured:
+        # (classes, measured bit, rest) -> (classes, outcome, rest).  At each
+        # index one of the two bits holds an exact zero, so every output is
+        # the one +-1/sqrt(2) product that project's tensordot forms.
+        x = amps.reshape(len(amps), 2, -1)
+        amps = bras[:, :1] * x[:, None, 0] + bras[:, 1:] * x[:, None, 1]
+        amps = amps.reshape(2 * len(x), -1)
+    for _ in range(c.n + c.m - n1 - m1):
+        amps *= SQRT_HALF
+    classes = tuple((i, j, p, q, bits[0] if c.n else 0, bits[-1] if c.m else 0)
+                    for i, j, p, q, *bits
+                    in itertools.product((0, 1), repeat=2 + len(measured)))
+    return classes, amps, tuple(prob for _, prob in sectors)
 
 
-def receiver_readouts(residual: StateVector, layer: PauliLayer,
-                      weights: np.ndarray, target_state: StateVector) -> tuple:
+@lru_cache(maxsize=None)
+def layer_moves(layer: PauliLayer) -> tuple:
+    """layer.moves(), computed once per distinct layer (at most 256) and
+    kept read-only."""
+    moves = layer.moves()
+    for arr in moves:
+        arr.setflags(write=False)
+    return moves
+
+
+def receiver_readouts(residual: np.ndarray, layer: PauliLayer,
+                      weights: np.ndarray, target: np.ndarray) -> tuple:
     """Steps 4 and 5 for one residual over BOB_QUBITS: move its amplitudes
-    through layer.moves(), then weight them by each row of weights (from
-    triplet_weights).  Returns (probability, fidelity with target_state) per
-    ancilla readout; the fidelity is 0.0 at or below PROB_FLOOR."""
-    dest, sign = layer.moves()
+    through the layer's moves, then weight them by each row of weights (from
+    triplet_weights).  Returns (probability, fidelity with the target
+    amplitudes) per ancilla readout; the fidelity is 0.0 at or below
+    PROB_FLOOR."""
+    dest, sign = layer_moves(layer)
     moved = np.zeros(16, dtype=complex)
-    moved[dest] = sign * residual.amps
+    moved[dest] = sign * residual
     out = []
     for row in weights:
-        state = StateVector(BOB_QUBITS, moved * row, copy=False)
-        prob = state.squared_norm
-        out.append((prob, fidelity(state, target_state) if prob > PROB_FLOOR else 0.0))
+        state = moved * row
+        prob = squared_norm(state)
+        out.append((prob, amps_fidelity(state, target) if prob > PROB_FLOOR else 0.0))
     return tuple(out)

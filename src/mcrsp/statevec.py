@@ -26,7 +26,9 @@ __all__ = [
     "reorder",
     "apply",
     "project",
+    "squared_norm",
     "fidelity",
+    "amps_fidelity",
     "is_unitary",
 ]
 
@@ -77,7 +79,7 @@ class StateVector:
 
     @property
     def squared_norm(self) -> float:
-        return float(np.real(np.vdot(self.amps, self.amps)))
+        return squared_norm(self.amps)
 
     def normalized(self) -> "StateVector":
         n2 = self.squared_norm
@@ -218,6 +220,11 @@ def project(state: StateVector, targets, basis, outcome, *, tol: float = ORTHO_T
     return residual, residual.squared_norm
 
 
+def squared_norm(amps: np.ndarray) -> float:
+    """<a|a> of a 1-D amplitude array, as a float."""
+    return float(np.real(np.vdot(amps, amps)))
+
+
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 with both states normalized; label order is reconciled."""
     if set(a.labels) != set(b.labels):
@@ -225,11 +232,16 @@ def fidelity(a: StateVector, b: StateVector) -> float:
             f"fidelity needs matching label sets, got {a.labels!r} and {b.labels!r}")
     if b.labels != a.labels:
         b = reorder(b, a.labels)
-    na2 = a.squared_norm
-    nb2 = b.squared_norm
+    return amps_fidelity(a.amps, b.amps)
+
+
+def amps_fidelity(a: np.ndarray, b: np.ndarray) -> float:
+    """fidelity of two 1-D amplitude arrays over one register order."""
+    na2 = squared_norm(a)
+    nb2 = squared_norm(b)
     if na2 <= 0.0 or nb2 <= 0.0:
         raise ValueError("fidelity of a zero state is undefined")
-    ov = np.vdot(a.amps, b.amps)
+    ov = np.vdot(a, b)
     f = float((ov * ov.conjugate()).real / (na2 * nb2))
     return min(max(f, 0.0), 1.0)
 

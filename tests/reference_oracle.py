@@ -89,8 +89,9 @@ def layer_matrix(layer):
 def dense_works(target, channels, pairs):
     """{(key, layer): whether the dense replay restores the target} for
     each (key, layer) pair, from one class walk with a controller per channel."""
-    residuals = {OutcomeKey(*bits): state for bits, (state, _) in
-                 class_residuals(target, replace(channels, n=1, m=1)).items()}
+    classes, rows, _ = class_residuals(target, replace(channels, n=1, m=1))
+    residuals = {OutcomeKey(*bits): StateVector(BOB_QUBITS, row)
+                 for bits, row in zip(classes, rows)}
     target_state = build_target(target)
     out = {}
     for key, layer in pairs:

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from mcrsp import engine, protocol, statevec
 from mcrsp.protocol import (
+    BOB_QUBITS,
     CLUSTER_TARGET,
     SQRT_HALF,
     SUCCESS_FIDELITY,
@@ -19,6 +20,7 @@ from mcrsp.protocol import (
     build_target,
     class_residuals,
 )
+from mcrsp.statevec import StateVector
 from mcrsp.engine import (
     ccc_count,
     enumerate_branches,
@@ -381,8 +383,9 @@ def test_wide_run_does_no_per_record_python_work(monkeypatch):
 
 
 def test_walk_cost_does_not_grow_with_the_controllers(monkeypatch):
-    """The register and the projections stay those of one controller per
-    channel; only the per-record expansion grows."""
+    """The register stays that of one controller per channel, and the only
+    projections are the sender's, one per sector; only the per-record
+    expansion grows."""
     calls = []
     project = protocol.project
 
@@ -398,7 +401,7 @@ def test_walk_cost_does_not_grow_with_the_controllers(monkeypatch):
         report = enumerate_branches(GENERIC_TARGET, channels)
         assert len(report.branches) == 2 ** (n + m + 5)
         per_run.append((len(calls), max(calls)))
-    assert per_run == [(124, 2 ** 10)] * 3
+    assert per_run == [(4, 2 ** 10)] * 3
 
 
 @settings(max_examples=40, deadline=None)
@@ -411,10 +414,11 @@ def test_receiver_readouts_equal_the_dense_replay(run):
     report = enumerate_branches(target, channels, source, flip_report=flip)
     table = engine._resolve_table(source)
     target_state = build_target(target)
-    residuals = class_residuals(target, channels)
-    assert list(residuals) == list(report.classes)
-    for cls, (state, _) in residuals.items():
+    classes, residuals, _ = class_residuals(target, channels)
+    assert list(classes) == list(report.classes)
+    for cls, row in zip(classes, residuals):
         c = report.classes[cls]
+        state = StateVector(BOB_QUBITS, row)
         assert c.readouts == dense_readouts(state, table[c.key], cls[0], cls[1],
                                             channels, target_state)
 

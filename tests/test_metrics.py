@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from mcrsp import metrics
 from mcrsp.protocol import CLUSTER_TARGET, SQRT_HALF, ChannelPair
 from mcrsp.engine import enumerate_branches
 from mcrsp.metrics import (
@@ -167,6 +168,15 @@ class TestGrids:
     def test_entropy_curve_rejects_degenerate_resolution(self):
         with pytest.raises(ValueError, match="resolution"):
             entropy_curve(1)
+
+    def test_entropy_curve_refuses_an_oversized_grid_before_any_work(
+            self, monkeypatch):
+        def refuse(f):
+            raise AssertionError("evaluated the entropy past the size guard")
+
+        monkeypatch.setattr(metrics, "shannon_entropy", refuse)
+        with pytest.raises(ValueError, match=f"limit of {MAX_RESOLUTION}"):
+            entropy_curve(MAX_RESOLUTION + 1)
 
 
 def test_sweep_values_match_exact_enumeration():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcrsp import oracle, protocol
+from mcrsp import oracle, protocol, statevec
 from mcrsp.protocol import (
     LAYER_OPS,
     SQRT_HALF,
@@ -341,8 +341,8 @@ def test_derivation_makes_no_dense_replay(monkeypatch):
     through the enumerator's per-class receiver_readouts."""
     calls = []
     apply = protocol.apply
-    for fn in (apply, protocol.tensor, protocol.fidelity,
-               protocol.receiver_readouts):
+    for fn in (apply, protocol.tensor, statevec.fidelity,
+               statevec.amps_fidelity, protocol.receiver_readouts):
         def counted(*args, _fn=fn, **kwargs):
             calls.append((_fn.__name__, args[2] if _fn is apply else None))
             return _fn(*args, **kwargs)
@@ -356,9 +356,11 @@ def test_derivation_makes_no_dense_replay(monkeypatch):
 
 
 def test_enumerator_and_oracle_share_one_model_of_steps_4_and_5(monkeypatch):
-    """Both take a layer's (dest, sign) from PauliLayer.moves and the
-    triplet weights from protocol.triplet_weights: the oracle for its 256
-    candidates, the enumerator for the layer of each of its 64 classes."""
+    """Both take a layer's (dest, sign) from PauliLayer.moves, through the one
+    cache of protocol.layer_moves, and the triplet weights from
+    protocol.triplet_weights: the enumerator once for each of the 16
+    distinct layers its 64 classes use, the oracle for the other 240 of its
+    256 candidates, so that every layer is moved once in all."""
     seen = []
     moves = PauliLayer.moves
     triplet_weights = protocol.triplet_weights
@@ -377,14 +379,18 @@ def test_enumerator_and_oracle_share_one_model_of_steps_4_and_5(monkeypatch):
                 and getattr(module, "triplet_weights", None) is triplet_weights):
             monkeypatch.setattr(module, "triplet_weights", counted_weights)
     oracle._layer_moves.cache_clear()
+    protocol.layer_moves.cache_clear()
     try:
-        assert derive_correction_table().to_text() == default_derived_table().to_text()
-        assert (seen.count("moves"), seen.count("weights")) == (256, 4)
-        seen.clear()
         enumerate_branches(GENERIC_TARGET, GENERIC_CHANNELS)
-        assert (seen.count("moves"), seen.count("weights")) == (64, 4)
+        used = set(default_derived_table().entries.values())
+        assert (seen.count("moves"), seen.count("weights")) == (len(used), 4)
+        assert len(used) == 16
+        seen.clear()
+        assert derive_correction_table().to_text() == default_derived_table().to_text()
+        assert (seen.count("moves"), seen.count("weights")) == (256 - 16, 4)
     finally:
         oracle._layer_moves.cache_clear()
+        protocol.layer_moves.cache_clear()
 
 
 def test_audit_reports_a_swapped_pair_of_rows(derived):

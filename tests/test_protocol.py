@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcrsp import protocol
@@ -22,12 +22,14 @@ from mcrsp.protocol import (
     all_outcome_keys,
     build_channels,
     build_target,
+    class_residuals,
     default_derived_table,
     published_correction_table,
     triplet_unitary,
     triplet_weights,
 )
 from reference_oracle import layer_matrix
+from reference_walk import reference_class_residuals
 
 
 class TestTargetState:
@@ -296,3 +298,40 @@ class TestPublishedTable:
             with pytest.raises(TypeError):
                 accessor().entries[key] = PauliLayer(("X", "X", "X", "X"))
             assert accessor()[key].label() == "I,I,I,I"
+
+
+_AMPLITUDE = st.one_of(st.just(0.0), st.floats(0.05, 1.0), st.floats(-1.0, -0.05))
+_PHASE = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def _walk_inputs(draw):
+    """A target with signed or zero amplitudes, and channels with signed
+    coefficients, a1=0 or b1=0 among them, and n, m in 0..8."""
+    amps = draw(st.lists(_AMPLITUDE, min_size=4, max_size=4)
+                .filter(lambda xs: any(xs)))
+    target = TargetState.normalized(*amps, *draw(st.tuples(_PHASE, _PHASE, _PHASE)))
+    coeffs = []
+    for _ in range(2):
+        small = math.sqrt(draw(st.one_of(st.just(0.0), st.floats(0.0, 0.45))))
+        coeffs += [draw(st.sampled_from((1, -1))) * math.sqrt(1.0 - small * small),
+                   draw(st.sampled_from((1, -1))) * small]
+    n, m = draw(st.integers(0, 8)), draw(st.integers(0, 8))
+    return target, ChannelPair(*coeffs, n, m)
+
+
+class TestClassResiduals:
+    @settings(max_examples=60, deadline=None)
+    @given(_walk_inputs())
+    def test_equals_the_per_class_projection_tree(self, inputs):
+        """Every class, residual row and step-1 probability equals the one
+        single-qubit project call per measured qubit gives, bit for bit, with
+        up to 14 further-controller rescales."""
+        target, channels = inputs
+        classes, residuals, step1 = class_residuals(target, channels)
+        want = reference_class_residuals(target, channels)
+        assert classes == tuple(want)
+        assert residuals.shape == (len(want), 16)
+        for cls, row, (state, prob) in zip(classes, residuals, want.values()):
+            assert np.array_equal(row, state.amps)
+            assert step1[2 * cls[0] + cls[1]] == prob
